@@ -22,6 +22,10 @@ namespace {
 using namespace p2drm;        // NOLINT
 using namespace p2drm::core;  // NOLINT
 
+constexpr std::size_t kRedeemShards = 4;
+constexpr std::size_t kSignerPoolSize = 4;
+constexpr std::size_t kDepositShards = 2;
+
 struct Fixture {
   std::unique_ptr<crypto::HmacDrbg> rng;
   std::unique_ptr<P2drmSystem> system;
@@ -43,10 +47,11 @@ Fixture& FixtureForBits(std::size_t bits) {
   cfg.ttp_key_bits = bits;
   cfg.bank_key_bits = bits;
   cfg.cp.signing_key_bits = bits;
-  // Batch-first server defaults: batched purchases issue on shard
-  // workers and deposit their coins through the bank's batch pipeline.
-  cfg.cp.redeem_shards = 4;
-  cfg.bank.deposit_shards = 2;
+  // Batch-first server defaults: batched purchases issue on the signer
+  // pool and deposit their coins through the bank's batch pipeline.
+  cfg.cp.redeem_shards = kRedeemShards;
+  cfg.cp.signer_pool_size = kSignerPoolSize;
+  cfg.bank.deposit_shards = kDepositShards;
   f->system = std::make_unique<P2drmSystem>(cfg, f->rng.get());
   f->content = f->system->cp().Publish(
       "Track", std::vector<std::uint8_t>(4096, 0x5a), 7,
@@ -149,4 +154,7 @@ BENCHMARK(BM_ProviderSidePurchaseOnly)->Arg(512)->Arg(1024)
 
 }  // namespace
 
-P2DRM_GBENCH_JSON_MAIN("bench_purchase_latency")
+P2DRM_GBENCH_JSON_MAIN("bench_purchase_latency",
+                       cfg.Num("redeem_shards", kRedeemShards);
+                       cfg.Num("signer_pool_size", kSignerPoolSize);
+                       cfg.Num("deposit_shards", kDepositShards);)

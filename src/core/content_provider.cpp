@@ -64,10 +64,10 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
     signer_pool_ =
         std::make_unique<server::SignerPool>(config_.signer_pool_size);
   }
-  // The streaming front end always exists (it is cheap and thread-free);
-  // without a pool its issue stage runs inline, which still buys the
-  // deferred-commit window. The time lambda resolves time_source_ at
-  // call time so set_time_source keeps working after construction.
+  // The batch pipeline carries every batch call, synchronous or
+  // streamed; without a pool its issue stage runs inline. The time
+  // lambda resolves time_source_ at call time so set_time_source keeps
+  // working after construction.
   server::StagedBatchPipeline::Config staged;
   staged.pool = signer_pool_.get();
   staged.max_batches_in_flight = config_.max_batches_in_flight;
@@ -97,7 +97,12 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
   }
 }
 
-ContentProvider::~ContentProvider() = default;
+ContentProvider::~ContentProvider() {
+  // Streamed batches still in flight commit into the transcript map, the
+  // counters and the obs hooks — members declared after staged_, so they
+  // die before it. Drain the pipeline while every member is alive.
+  staged_->Flush();
+}
 
 rel::ContentId ContentProvider::Publish(
     const std::string& title, const std::vector<std::uint8_t>& plaintext,
@@ -299,30 +304,32 @@ ContentProvider::PurchaseResult ContentProvider::Purchase(
   return result;
 }
 
-/// Per-batch purchase state, heap-boxed so the same plan serves both the
-/// synchronous Run and a streamed batch that outlives its Submit call.
+/// Per-batch purchase state, heap-boxed because a streamed batch outlives
+/// the call that submitted it.
 struct ContentProvider::PurchaseBatchState {
-  std::vector<PurchaseItem> owned;  ///< streaming moves the batch here
-  const std::vector<PurchaseItem>* items = nullptr;  ///< always valid
+  std::vector<PurchaseItem> items;
   std::vector<PurchaseResult> out;
   std::vector<rel::Rights> rights_by_item;
   std::vector<crypto::HmacDrbg> forks;
   std::vector<rel::License> issued;
 };
 
-server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
-    std::shared_ptr<PurchaseBatchState> st) {
-  st->out.resize(st->items->size());
-  st->rights_by_item.resize(st->items->size());
+void ContentProvider::SubmitPurchase(
+    std::vector<PurchaseItem> items,
+    std::function<void(std::vector<PurchaseResult>)> on_done, bool sync) {
+  auto st = std::make_shared<PurchaseBatchState>();
+  st->items = std::move(items);
+  st->out.resize(st->items.size());
+  st->rights_by_item.resize(st->items.size());
 
-  server::BatchPipeline::Plan plan;
-  plan.item_count = st->items->size();
+  server::BatchPlan plan;
+  plan.item_count = st->items.size();
 
   // Verify: each distinct pseudonym certificate costs one full
   // verification (memoized within and across batches), then one shared
   // CRL probe pass covers every surviving item.
   plan.verify = [this, st] {
-    const std::vector<PurchaseItem>& items = *st->items;
+    const std::vector<PurchaseItem>& items = st->items;
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::size_t> crl_items;
     std::vector<rel::KeyFingerprint> crl_keys;
@@ -356,7 +363,7 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
   // in Purchase(); already-deposited coins stay deposited
   // (bearer-instrument rules).
   plan.mutate = [this, st](const std::vector<std::size_t>& eligible) {
-    const std::vector<PurchaseItem>& items = *st->items;
+    const std::vector<PurchaseItem>& items = st->items;
     std::vector<Status> status(eligible.size(), Status::kOk);
     std::vector<PaymentProvider::DepositItem> coins;
     std::vector<std::size_t> coin_owner;  // coin -> index into eligible
@@ -396,8 +403,8 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
   };
 
   // Issue: license signing and content-key wrapping on the signer pool
-  // or shard workers, one nonce-tagged RNG fork per item drawn in index
-  // order on the dispatch thread.
+  // (or inline), one nonce-tagged RNG fork per item drawn in index order
+  // on the dispatch thread.
   plan.begin_issue = [st](std::size_t n) {
     st->forks.reserve(n);
     st->issued.resize(n);
@@ -408,7 +415,7 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
     st->forks.push_back(PurchaseIssueRng());
   };
   plan.issue = [this, st](std::size_t k, std::size_t i, Status) {
-    const std::vector<PurchaseItem>& items = *st->items;
+    const std::vector<PurchaseItem>& items = st->items;
     st->issued[k] = BuildLicense(rel::LicenseKind::kUserBound,
                                  items[i].content_id, st->rights_by_item[i],
                                  &items[i].buyer.pseudonym_key,
@@ -418,37 +425,40 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
   // Commit — issued-key map, pseudonym bookkeeping and counters, on the
   // dispatch thread in index order.
   plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
-    const std::vector<PurchaseItem>& items = *st->items;
+    const std::vector<PurchaseItem>& items = st->items;
     pseudonyms_seen_.insert(items[i].buyer.KeyId());
     RecordIssued(st->issued[k], &items[i].buyer.pseudonym_key);
     st->out[i].license = std::move(st->issued[k]);
     st->out[i].status = Status::kOk;
   };
   plan.reject = [st](std::size_t i, Status s) { st->out[i].status = s; };
-  return plan;
+  Dispatch(std::move(plan), &obs_purchase_, [st, cb = std::move(on_done)] {
+    if (cb != nullptr) cb(std::move(st->out));
+  }, sync);
 }
 
 std::vector<ContentProvider::PurchaseResult> ContentProvider::PurchaseBatch(
     const std::vector<PurchaseItem>& items) {
-  if (items.empty()) return {};
-  auto st = std::make_shared<PurchaseBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildPurchasePlan(st);
-  last_timings_ = ToPipelineTimings(server::BatchPipeline::Run(
-      plan, PipelineExecutor(), time_source_, &obs_purchase_));
-  return std::move(st->out);
+  std::vector<PurchaseResult> out;
+  SubmitPurchase(items, [&out](auto r) { out = std::move(r); }, /*sync=*/true);
+  return out;
 }
 
 void ContentProvider::StreamPurchaseBatch(
     std::vector<PurchaseItem> items,
     std::function<void(std::vector<PurchaseResult>)> on_done) {
-  auto st = std::make_shared<PurchaseBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  staged_->Submit(BuildPurchasePlan(st), &obs_purchase_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  SubmitPurchase(std::move(items), std::move(on_done), /*sync=*/false);
+}
+
+void ContentProvider::Dispatch(server::BatchPlan plan,
+                               const server::PipelineObs* pobs,
+                               std::function<void()> on_commit, bool sync) {
+  if (sync) {
+    last_timings_ = ToPipelineTimings(
+        staged_->SubmitSync(std::move(plan), pobs, std::move(on_commit)));
+  } else {
+    staged_->Submit(std::move(plan), pobs, std::move(on_commit));
+  }
 }
 
 void ContentProvider::set_observability(const obs::Sink& sink,
@@ -571,19 +581,21 @@ ContentProvider::ExchangeResult ContentProvider::ExchangeForAnonymous(
 
 /// Per-batch exchange state; see PurchaseBatchState for the boxing rule.
 struct ContentProvider::ExchangeBatchState {
-  std::vector<ExchangeItem> owned;  ///< streaming moves the batch here
-  const std::vector<ExchangeItem>* items = nullptr;  ///< always valid
+  std::vector<ExchangeItem> items;
   std::vector<ExchangeResult> out;
   std::vector<crypto::HmacDrbg> forks;
   std::vector<rel::License> bearer;
 };
 
-server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
-    std::shared_ptr<ExchangeBatchState> st) {
-  st->out.resize(st->items->size());
+void ContentProvider::SubmitExchange(
+    std::vector<ExchangeItem> items,
+    std::function<void(std::vector<ExchangeResult>)> on_done, bool sync) {
+  auto st = std::make_shared<ExchangeBatchState>();
+  st->items = std::move(items);
+  st->out.resize(st->items.size());
 
-  server::BatchPipeline::Plan plan;
-  plan.item_count = st->items->size();
+  server::BatchPlan plan;
+  plan.item_count = st->items.size();
 
   // Verify: one screened same-key verification covers every issuer
   // signature (all licenses are ours), one shared pass answers the CRL
@@ -594,7 +606,7 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
   // commits write, so exchange batches that depend on each other's
   // commits must not be streamed concurrently.
   plan.verify = [this, st] {
-    const std::vector<ExchangeItem>& items = *st->items;
+    const std::vector<ExchangeItem>& items = st->items;
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;
     std::vector<std::vector<std::uint8_t>> sigs;
@@ -654,22 +666,22 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
   plan.mutate = [this, st](const std::vector<std::size_t>& eligible) {
     return SpendEligible(eligible,
                          [st](std::size_t i) -> const rel::LicenseId& {
-                           return (*st->items)[i].license.id;
+                           return st->items[i].license.id;
                          });
   };
 
-  // Issue: bearer-license signing on the signer pool or shard workers,
-  // one id-tagged fork per item drawn dispatch-side in index order.
+  // Issue: bearer-license signing on the signer pool (or inline), one
+  // id-tagged fork per item drawn dispatch-side in index order.
   plan.begin_issue = [st](std::size_t n) {
     st->forks.reserve(n);
     st->bearer.resize(n);
   };
   plan.draw_fork = [this, st](std::size_t k, std::size_t i) {
     (void)k;
-    st->forks.push_back(ExchangeIssueRng((*st->items)[i].license.id));
+    st->forks.push_back(ExchangeIssueRng(st->items[i].license.id));
   };
   plan.issue = [this, st](std::size_t k, std::size_t i, Status) {
-    const rel::License& lic = (*st->items)[i].license;
+    const rel::License& lic = st->items[i].license;
     st->bearer[k] = BuildLicense(rel::LicenseKind::kAnonymous,
                                  lic.content_id, lic.rights, nullptr,
                                  &st->forks[k]);
@@ -680,30 +692,22 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
     st->out[i].status = Status::kOk;
   };
   plan.reject = [st](std::size_t i, Status s) { st->out[i].status = s; };
-  return plan;
+  Dispatch(std::move(plan), &obs_exchange_, [st, cb = std::move(on_done)] {
+    if (cb != nullptr) cb(std::move(st->out));
+  }, sync);
 }
 
 std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
     const std::vector<ExchangeItem>& items) {
-  if (items.empty()) return {};
-  auto st = std::make_shared<ExchangeBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildExchangePlan(st);
-  last_timings_ = ToPipelineTimings(server::BatchPipeline::Run(
-      plan, PipelineExecutor(), time_source_, &obs_exchange_));
-  return std::move(st->out);
+  std::vector<ExchangeResult> out;
+  SubmitExchange(items, [&out](auto r) { out = std::move(r); }, /*sync=*/true);
+  return out;
 }
 
 void ContentProvider::StreamExchangeBatch(
     std::vector<ExchangeItem> items,
     std::function<void(std::vector<ExchangeResult>)> on_done) {
-  auto st = std::make_shared<ExchangeBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  staged_->Submit(BuildExchangePlan(st), &obs_exchange_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  SubmitExchange(std::move(items), std::move(on_done), /*sync=*/false);
 }
 
 RedemptionTranscript ContentProvider::MakeTranscript(
@@ -771,57 +775,6 @@ ContentProvider::IssuedRedemption ContentProvider::SignRedemption(
   return out;
 }
 
-void ContentProvider::ForEachIssue(
-    std::size_t count, const std::function<void(std::size_t)>& sign_item) {
-  if (signer_pool_ != nullptr) {
-    // Dedicated pool first: issuance has no shard affinity, and keeping
-    // it off the shard workers decouples signing latency from
-    // spend-queue depth. RunAll joins, so borrowing sign_item and the
-    // time source by reference is safe.
-    const server::TimeSourceUs& now_us = time_source_;
-    signer_pool_->RunAll(
-        count, [&sign_item, &now_us](server::SignerContext& ctx,
-                                     std::size_t k) {
-          std::uint64_t t0 =
-              now_us != nullptr ? now_us() : server::SteadyNowUs();
-          sign_item(k);
-          std::uint64_t t1 =
-              now_us != nullptr ? now_us() : server::SteadyNowUs();
-          ctx.AccrueSimClockUs(t1 - t0);
-        });
-    return;
-  }
-  if (runtime_ != nullptr) {
-    // The injected time source (when any) must be thread-safe: these
-    // tasks read it concurrently from the shard workers.
-    const server::TimeSourceUs& now_us = time_source_;
-    std::vector<server::ServerRuntime::Task> tasks;
-    tasks.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      // `sign_item` outlives the tasks because RunAll joins; its calls
-      // write disjoint per-k slots, so concurrent invocation is safe.
-      tasks.push_back([&sign_item, &now_us, k](server::ShardContext& ctx) {
-        std::uint64_t t0 =
-            now_us != nullptr ? now_us() : server::SteadyNowUs();
-        sign_item(k);
-        std::uint64_t t1 =
-            now_us != nullptr ? now_us() : server::SteadyNowUs();
-        ctx.sim_clock_us += t1 - t0;
-      });
-    }
-    runtime_->RunAll(std::move(tasks));
-  } else {
-    for (std::size_t k = 0; k < count; ++k) sign_item(k);
-  }
-}
-
-server::BatchPipeline::IssueExecutor ContentProvider::PipelineExecutor() {
-  return [this](std::size_t count,
-                const std::function<void(std::size_t)>& sign_item) {
-    ForEachIssue(count, sign_item);
-  };
-}
-
 ContentProvider::PurchaseResult ContentProvider::CommitRedemption(
     const RedeemItem& item, IssuedRedemption issued) {
   PurchaseResult result;
@@ -851,19 +804,21 @@ ContentProvider::PurchaseResult ContentProvider::CommitRedemption(
 /// Per-batch redemption state; see PurchaseBatchState for the boxing
 /// rule.
 struct ContentProvider::RedeemBatchState {
-  std::vector<RedeemItem> owned;  ///< streaming moves the batch here
-  const std::vector<RedeemItem>* items = nullptr;  ///< always valid
+  std::vector<RedeemItem> items;
   std::vector<PurchaseResult> out;
   std::vector<crypto::HmacDrbg> forks;
   std::vector<IssuedRedemption> issued;
 };
 
-server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
-    std::shared_ptr<RedeemBatchState> st) {
-  st->out.resize(st->items->size());
+void ContentProvider::SubmitRedeem(
+    std::vector<RedeemItem> items,
+    std::function<void(std::vector<PurchaseResult>)> on_done, bool sync) {
+  auto st = std::make_shared<RedeemBatchState>();
+  st->items = std::move(items);
+  st->out.resize(st->items.size());
 
-  server::BatchPipeline::Plan plan;
-  plan.item_count = st->items->size();
+  server::BatchPlan plan;
+  plan.item_count = st->items.size();
 
   // Verify, amortized: every license in the batch is signed by our own
   // key, so one screened same-key verification covers the whole group;
@@ -872,7 +827,7 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
   // verifications actually performed, which is the whole point of the
   // batch path.
   plan.verify = [this, st] {
-    const std::vector<RedeemItem>& items = *st->items;
+    const std::vector<RedeemItem>& items = st->items;
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;
     std::vector<std::vector<std::uint8_t>> sigs;
@@ -918,7 +873,7 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
   plan.mutate = [this, st](const std::vector<std::size_t>& eligible) {
     return SpendEligible(eligible,
                          [st](std::size_t i) -> const rel::LicenseId& {
-                           return (*st->items)[i].anonymous_license.id;
+                           return st->items[i].anonymous_license.id;
                          });
   };
   // A detected double redemption still gets signed: the transcript is
@@ -926,49 +881,41 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
   plan.proceed = [](Status s) { return s == Status::kAlreadySpent; };
 
   // Issue: transcript + fresh-license signing, the dominant per-item
-  // private-key cost, fanned out to the signer pool or shard workers.
+  // private-key cost, fanned out to the signer pool (or inline).
   plan.begin_issue = [st](std::size_t n) {
     st->forks.reserve(n);
     st->issued.resize(n);
   };
   plan.draw_fork = [this, st](std::size_t k, std::size_t i) {
     (void)k;
-    st->forks.push_back(RedeemIssueRng((*st->items)[i].anonymous_license.id));
+    st->forks.push_back(RedeemIssueRng(st->items[i].anonymous_license.id));
   };
   plan.issue = [this, st](std::size_t k, std::size_t i, Status spend) {
-    st->issued[k] = SignRedemption((*st->items)[i], spend, &st->forks[k]);
+    st->issued[k] = SignRedemption(st->items[i], spend, &st->forks[k]);
   };
 
   // Commit — state mutations on the dispatch thread, in index order:
   // transcript map, fraud evidence, pseudonym bookkeeping, counters.
   plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
-    st->out[i] = CommitRedemption((*st->items)[i], std::move(st->issued[k]));
+    st->out[i] = CommitRedemption(st->items[i], std::move(st->issued[k]));
   };
   plan.reject = [st](std::size_t i, Status s) { st->out[i].status = s; };
-  return plan;
+  Dispatch(std::move(plan), &obs_redeem_, [st, cb = std::move(on_done)] {
+    if (cb != nullptr) cb(std::move(st->out));
+  }, sync);
 }
 
 std::vector<ContentProvider::PurchaseResult>
 ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
-  if (items.empty()) return {};
-  auto st = std::make_shared<RedeemBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildRedeemPlan(st);
-  last_timings_ = ToPipelineTimings(server::BatchPipeline::Run(
-      plan, PipelineExecutor(), time_source_, &obs_redeem_));
-  return std::move(st->out);
+  std::vector<PurchaseResult> out;
+  SubmitRedeem(items, [&out](auto r) { out = std::move(r); }, /*sync=*/true);
+  return out;
 }
 
 void ContentProvider::StreamRedeemBatch(
     std::vector<RedeemItem> items,
     std::function<void(std::vector<PurchaseResult>)> on_done) {
-  auto st = std::make_shared<RedeemBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  staged_->Submit(BuildRedeemPlan(st), &obs_redeem_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  SubmitRedeem(std::move(items), std::move(on_done), /*sync=*/false);
 }
 
 ContentProvider::PipelineTimings ContentProvider::FlushStreaming() {

@@ -74,17 +74,16 @@ struct ContentProviderConfig {
   std::string spent_journal_path;
   /// Number of redemption shards. 0 keeps the classic single-threaded
   /// spent set; N > 0 spins up a server::ServerRuntime whose N shard
-  /// workers own the spent-set partitions and journal segments.
+  /// workers own the spent-set partitions and journal segments. Shards
+  /// only spend: where signatures run is signer_pool_size's business.
   std::size_t redeem_shards = 0;
   /// Per-shard bounded-queue capacity (items). Batch redemptions that
   /// would overflow a shard queue are shed with Status::kOverloaded.
   std::size_t redeem_queue_capacity = 4096;
-  /// Dedicated work-stealing signer pool for the issue stage
-  /// (server::SignerPool), sized independently of redeem_shards. 0 keeps
-  /// the classic fan-out (shard workers when redeem_shards > 0, serial
-  /// otherwise); N > 0 moves EVERY issue stage — synchronous batches and
-  /// the streaming pipeline alike — onto N pool workers, so signing
-  /// capacity decouples from spend-queue depth.
+  /// Work-stealing signer pool for the issue stage (server::SignerPool),
+  /// sized independently of redeem_shards. N > 0 runs EVERY batch issue
+  /// stage — synchronous and streamed alike — on N pool workers; 0 signs
+  /// inline on the dispatch thread.
   std::size_t signer_pool_size = 0;
   /// Streaming window: StreamRedeemBatch/StreamPurchaseBatch/
   /// StreamExchangeBatch keep at most this many batches in flight before
@@ -139,12 +138,13 @@ class ContentProvider {
     std::vector<Coin> payment;
   };
 
-  /// Purchases a whole batch through the shared server::BatchPipeline:
-  /// verify (memoized pseudonym-cert checks + one shared CRL pass),
-  /// mutate (ONE PaymentProvider::DepositBatch call covering every
-  /// item's coins, so double-spend checks shard at the bank), issue
-  /// (license signing and content-key wrapping on the shard workers
-  /// when redeem_shards > 0). Per-item statuses are index-aligned and
+  /// Purchases a whole batch through the batch pipeline
+  /// (server::StagedBatchPipeline): verify (memoized pseudonym-cert
+  /// checks + one shared CRL pass), mutate (ONE
+  /// PaymentProvider::DepositBatch call covering every item's coins, so
+  /// double-spend checks shard at the bank), issue (license signing and
+  /// content-key wrapping on the signer pool when signer_pool_size > 0).
+  /// Per-item statuses are index-aligned and
   /// match Purchase() item for item, except that repeated certificates
   /// inside or across batches cost one verification instead of one
   /// each, and a failing coin no longer stops the rest of its item's
@@ -177,14 +177,14 @@ class ContentProvider {
     std::vector<std::uint8_t> possession_sig;
   };
 
-  /// Exchanges a whole batch through the shared server::BatchPipeline:
-  /// verify (ONE screened same-key verification covers every license
-  /// signature, cached-context possession checks, one shared CRL pass
-  /// over the bound keys), mutate (old-license retirement on each id's
-  /// home shard — the backpressure point), issue (bearer-license
-  /// signing on the shard workers, one id-tagged RNG fork per item
-  /// drawn dispatch-side in index order). Per-item results are
-  /// index-aligned and match ExchangeForAnonymous item for item, plus
+  /// Exchanges a whole batch through the batch pipeline: verify (ONE
+  /// screened same-key verification covers every license signature,
+  /// cached-context possession checks, one shared CRL pass over the
+  /// bound keys), mutate (old-license retirement on each id's home shard
+  /// — the backpressure point), issue (bearer-license signing on the
+  /// signer pool, one id-tagged RNG fork per item drawn dispatch-side in
+  /// index order). Per-item results are index-aligned and match
+  /// ExchangeForAnonymous item for item, plus
   /// kOverloaded for items shed by a full shard queue (no trace; the
   /// held license is untouched and the client may retry).
   std::vector<ExchangeResult> ExchangeBatch(
@@ -212,8 +212,9 @@ class ContentProvider {
   /// Redeems a whole batch with amortized server-side crypto: ONE
   /// screened same-key verification covers every license signature, each
   /// distinct pseudonym certificate is verified once, one shared pass
-  /// answers the CRL probes, and the spent-set updates run on the shard
-  /// runtime when redeem_shards > 0. Per-item results are index-aligned
+  /// answers the CRL probes, the spent-set updates run on the shard
+  /// runtime when redeem_shards > 0 and the signing on the signer pool
+  /// when signer_pool_size > 0. Per-item results are index-aligned
   /// and match RedeemAnonymous item for item, with one addition: an item
   /// shed by a full shard queue returns Status::kOverloaded and leaves no
   /// trace in the spent set.
@@ -222,12 +223,16 @@ class ContentProvider {
 
   // -- streaming pipeline (cross-batch stage overlap) -----------------------
   //
-  // The synchronous batch calls above are submit-and-join: batch B's
-  // issue stage finishes before batch B+1's verify starts. The Stream*
-  // entry points instead run verify/mutate/draw_fork inline (so sheds
+  // Every batch call runs on one server::StagedBatchPipeline. The
+  // Stream* entry points run verify/mutate/draw_fork inline (so sheds
   // surface immediately and the DRBG stream stays in submit order), fan
   // issue out to the signer pool, and defer the commit tail — batch
-  // B+1's verify overlaps batch B's signing. Results arrive through
+  // B+1's verify overlaps batch B's signing. A synchronous batch call is
+  // the same path with the window closed on that one batch: it first
+  // commits every streamed batch still in flight (running their
+  // on_done), then submits, joins and commits its own batch. An empty
+  // batch never enters the pipeline: on_done({}) runs at once and no
+  // in-flight batch is committed. Results arrive through
   // \p on_done, invoked on the caller's own thread at the batch's commit
   // point (inside a later Stream* call once the in-flight window fills,
   // or inside FlushStreaming). Ordering contract: commits apply in
@@ -272,12 +277,11 @@ class ContentProvider {
 
   /// Wall-clock breakdown of the most recent RedeemAnonymousBatch /
   /// PurchaseBatch / ExchangeBatch call by pipeline stage
-  /// (microseconds). `issue_us` is
-  /// the dispatch thread's wait on the signing stage — with shard
-  /// workers it shrinks toward the slowest worker's share, while the
-  /// signing work itself accrues on the workers' ShardContext sim
-  /// clocks (see ShardSimClockUs), which is what the scaling bench
-  /// reports as signatures/second.
+  /// (microseconds): dispatch-side spans, `issue_us` from the fork draw
+  /// to the join. With a signer pool it shrinks toward the slowest
+  /// worker's share, while the signing work itself accrues on the pool
+  /// workers' sim clocks (SignerPool::WorkerSimClockUs), which is what
+  /// the scaling bench reports as signatures/second.
   /// Under FlushStreaming the stage numbers are busy sums across the
   /// window's batches and `makespan_us` is the window's wall span —
   /// cross-batch overlap makes makespan < verify+spend+issue.
@@ -297,12 +301,12 @@ class ContentProvider {
   /// Flush end); overlap shows as makespan < verify+spend+issue.
   PipelineTimings FlushStreaming();
 
-  /// Injects the clock behind LastBatchTimings and the shard workers'
-  /// sim-clock accrual (null = steady_clock). A deterministic source
-  /// pins stage timings in tests; a virtual-time harness can express
-  /// service cost in the same timebase as wire latency. The source is
-  /// called from the shard worker threads during the issue stage, so it
-  /// must be thread-safe.
+  /// Injects the clock behind LastBatchTimings and the signer pool
+  /// workers' sim-clock accrual (null = steady_clock). A deterministic
+  /// source pins stage timings in tests; a virtual-time harness can
+  /// express service cost in the same timebase as wire latency. With a
+  /// signer pool the source is called from the pool workers during the
+  /// issue stage, so it must be thread-safe.
   void set_time_source(server::TimeSourceUs now_us) {
     time_source_ = std::move(now_us);
   }
@@ -383,7 +387,7 @@ class ContentProvider {
   /// Per-item RNG fork for the redemption issue stage, domain-tagged by
   /// the redeemed id. Forked on the dispatch thread in item-index order,
   /// so a fixed seed yields bit-identical issuance whether the signing
-  /// then runs serially or on the shard workers.
+  /// then runs inline or on the signer pool.
   crypto::HmacDrbg RedeemIssueRng(const rel::LicenseId& redeemed_id);
   /// Per-item RNG fork for the purchase issue stage, domain-tagged by a
   /// monotonic issuance nonce assigned in item-index order.
@@ -399,40 +403,36 @@ class ContentProvider {
       const std::function<const rel::LicenseId&(std::size_t)>& id_of);
   /// Pure signing stage of one redemption: transcript always, fresh
   /// license when \p spend_status is kOk. Const and thread-safe (runs on
-  /// shard workers); all randomness comes from \p rng.
+  /// the signer pool); all randomness comes from \p rng.
   IssuedRedemption SignRedemption(const RedeemItem& item, Status spend_status,
                                   bignum::RandomSource* rng) const;
-  /// The issue-stage executor every pipeline shares: runs
-  /// \p sign_item(k) for every k in [0, count) — fanned out to the
-  /// signer pool when one exists (measured time accrued on the pool
-  /// workers' sim clocks), else to the shard workers (ditto on the
-  /// shard sim clocks) when the runtime exists, serially otherwise.
-  /// \p sign_item must be thread-safe and write only disjoint state per
-  /// k; ForEachIssue blocks until every call has returned.
-  void ForEachIssue(std::size_t count,
-                    const std::function<void(std::size_t)>& sign_item);
-  /// ForEachIssue wrapped for BatchPipeline::Run.
-  server::BatchPipeline::IssueExecutor PipelineExecutor();
   /// State-mutating stage of one redemption: transcript map, fraud
   /// evidence, pseudonym bookkeeping, issued-key map. Dispatch thread
   /// only, in item-index order.
   PurchaseResult CommitRedemption(const RedeemItem& item,
                                   IssuedRedemption issued);
 
-  // Heap-boxed per-batch state for the shared plan builders: the
-  // synchronous batch calls and the streaming Stream* calls run the SAME
-  // plans, but a streamed batch outlives its Submit call, so everything
-  // a plan touches lives in one of these (kept alive by the shared_ptr
-  // the plan's callbacks capture) instead of a caller's stack frame.
+  // One body per X / StreamX pair: boxes the batch (a streamed batch
+  // outlives its call, so everything its plan touches lives in the
+  // shared_ptr-held state the plan's callbacks capture), builds the
+  // flow's plan and dispatches it; \p on_done receives the index-aligned
+  // results at the batch's commit.
   struct RedeemBatchState;
   struct PurchaseBatchState;
   struct ExchangeBatchState;
-  server::BatchPipeline::Plan BuildRedeemPlan(
-      std::shared_ptr<RedeemBatchState> st);
-  server::BatchPipeline::Plan BuildPurchasePlan(
-      std::shared_ptr<PurchaseBatchState> st);
-  server::BatchPipeline::Plan BuildExchangePlan(
-      std::shared_ptr<ExchangeBatchState> st);
+  void SubmitRedeem(std::vector<RedeemItem> items,
+                    std::function<void(std::vector<PurchaseResult>)> on_done,
+                    bool sync);
+  void SubmitPurchase(std::vector<PurchaseItem> items,
+                      std::function<void(std::vector<PurchaseResult>)> on_done,
+                      bool sync);
+  void SubmitExchange(std::vector<ExchangeItem> items,
+                      std::function<void(std::vector<ExchangeResult>)> on_done,
+                      bool sync);
+  /// staged_->SubmitSync when \p sync (recording LastBatchTimings), else
+  /// staged_->Submit.
+  void Dispatch(server::BatchPlan plan, const server::PipelineObs* pobs,
+                std::function<void()> on_commit, bool sync);
 
   ContentProviderConfig config_;
   bignum::RandomSource* rng_;
@@ -453,8 +453,10 @@ class ContentProvider {
   store::SpentSet spent_;  ///< unsharded path; unused when runtime_ is set
   std::unique_ptr<store::AppendLog> spent_journal_;
   std::unique_ptr<server::ServerRuntime> runtime_;  ///< sharded path
-  std::unique_ptr<server::SignerPool> signer_pool_;  ///< dedicated issue pool
-  std::unique_ptr<server::StagedBatchPipeline> staged_;  ///< streaming front
+  std::unique_ptr<server::SignerPool> signer_pool_;  ///< issue executor
+  /// Every batch call's orchestrator. Members declared after it die
+  /// first, so the destructor drains it explicitly.
+  std::unique_ptr<server::StagedBatchPipeline> staged_;
   server::BatchVerifier verifier_;
   store::RevocationList crl_;
   // First-seen transcript per redeemed license id (fraud evidence basis).

@@ -57,15 +57,20 @@ PaymentProvider::PaymentProvider(std::size_t modulus_bits,
     rt.queue_capacity = config_.deposit_queue_capacity;
     runtime_ = std::make_unique<server::ServerRuntime>(rt);
   }
-  // Streaming deposits never fan out to a signer pool (there is no issue
-  // stage); the staged pipeline contributes only its deferred-commit
-  // window, so it is cheap to keep around unconditionally.
+  // Deposits never fan out to a signer pool (there is no issue stage);
+  // the batch pipeline orders their stages and, for streamed batches,
+  // provides the deferred-commit window.
   server::StagedBatchPipeline::Config staged;
   staged.max_batches_in_flight = config_.max_batches_in_flight;
   staged_ = std::make_unique<server::StagedBatchPipeline>(std::move(staged));
 }
 
-PaymentProvider::~PaymentProvider() = default;
+PaymentProvider::~PaymentProvider() {
+  // Streamed deposits still in flight credit accounts_ and bump the
+  // counters and obs hooks — members declared after staged_, so they die
+  // before it. Drain the pipeline while every member is alive.
+  staged_->Flush();
+}
 
 rel::LicenseId PaymentProvider::SerialKey(const Coin& coin) {
   rel::LicenseId key;
@@ -143,29 +148,29 @@ Status PaymentProvider::Deposit(const Coin& coin,
 }
 
 /// Per-batch deposit state, heap-boxed so the streaming path can keep a
-/// batch alive between submission and its deferred commit. `items`
-/// borrows from the caller on the synchronous path (Run completes before
-/// DepositBatch returns) and points at `owned` on the streaming path.
+/// batch alive between submission and its deferred commit.
 struct PaymentProvider::DepositBatchState {
-  std::vector<DepositItem> owned;
-  const std::vector<DepositItem>* items = nullptr;
+  std::vector<DepositItem> items;
   std::vector<Status> out;
 };
 
-server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
-    std::shared_ptr<DepositBatchState> st, bool shed_on_full) {
-  const std::vector<DepositItem>& items = *st->items;
-  st->out.assign(items.size(), Status::kBadRequest);
+void PaymentProvider::SubmitDeposit(
+    std::vector<DepositItem> items,
+    std::function<void(std::vector<Status>)> on_done, bool shed_on_full,
+    bool sync) {
+  auto st = std::make_shared<DepositBatchState>();
+  st->items = std::move(items);
+  st->out.assign(st->items.size(), Status::kBadRequest);
 
-  server::BatchPipeline::Plan plan;
-  plan.item_count = items.size();
+  server::BatchPlan plan;
+  plan.item_count = st->items.size();
 
   // Verify: account/denomination lookups, then ONE screened same-key
   // verification per denomination group — the key *is* the
   // denomination, so a retail batch collapses to a handful of group
   // checks on cached Montgomery contexts.
   plan.verify = [this, st] {
-    const std::vector<DepositItem>& items = *st->items;
+    const std::vector<DepositItem>& items = st->items;
     server::BatchVerifierStats before = verifier_.stats();
     std::map<std::uint32_t, std::vector<std::size_t>> by_denom;
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -209,7 +214,7 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
   // Mutate: serial inserts on each coin's home shard — duplicates
   // within the batch resolve there in index order, first wins.
   plan.mutate = [this, st, shed_on_full](const std::vector<std::size_t>& eligible) {
-    const std::vector<DepositItem>& items = *st->items;
+    const std::vector<DepositItem>& items = st->items;
     std::vector<Status> spend;
     if (runtime_ != nullptr) {
       std::vector<rel::LicenseId> serials;
@@ -237,7 +242,7 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
   // fresh serial.
   plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
     (void)k;
-    const DepositItem& item = (*st->items)[i];
+    const DepositItem& item = st->items[i];
     accounts_[item.merchant_account] += item.coin.denomination;
     ++deposited_coins_;
     st->out[i] = Status::kOk;
@@ -246,34 +251,30 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
     if (s == Status::kDoubleSpend) ++double_spend_attempts_;
     st->out[i] = s;
   };
-  return plan;
+  auto on_commit = [st, cb = std::move(on_done)] {
+    if (cb != nullptr) cb(std::move(st->out));
+  };
+  if (sync) {
+    staged_->SubmitSync(std::move(plan), &obs_deposit_,
+                        std::move(on_commit));
+  } else {
+    staged_->Submit(std::move(plan), &obs_deposit_, std::move(on_commit));
+  }
 }
 
 std::vector<Status> PaymentProvider::DepositBatch(
     const std::vector<DepositItem>& items, bool shed_on_full) {
-  if (items.empty()) return {};
-
-  auto st = std::make_shared<DepositBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildDepositPlan(st, shed_on_full);
-  server::BatchPipeline::Run(plan, nullptr, nullptr, &obs_deposit_);
-  return std::move(st->out);
+  std::vector<Status> out;
+  SubmitDeposit(items, [&out](std::vector<Status> r) { out = std::move(r); },
+                shed_on_full, /*sync=*/true);
+  return out;
 }
 
 void PaymentProvider::StreamDepositBatch(
     std::vector<DepositItem> items,
     std::function<void(std::vector<Status>)> on_done, bool shed_on_full) {
-  if (items.empty()) {
-    if (on_done != nullptr) on_done({});
-    return;
-  }
-  auto st = std::make_shared<DepositBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  staged_->Submit(BuildDepositPlan(st, shed_on_full), &obs_deposit_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  SubmitDeposit(std::move(items), std::move(on_done), shed_on_full,
+                /*sync=*/false);
 }
 
 server::BatchPipelineTimings PaymentProvider::FlushDeposits() {

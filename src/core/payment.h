@@ -108,7 +108,7 @@ class PaymentProvider {
     std::string merchant_account;
   };
 
-  /// Deposits a whole batch through the shared server::BatchPipeline:
+  /// Deposits a whole batch through the batch pipeline:
   /// verify (ONE screened same-key verification per denomination group,
   /// cached Montgomery contexts), mutate (serial inserts on each coin's
   /// home shard when deposit_shards > 0 — the backpressure point),
@@ -125,14 +125,17 @@ class PaymentProvider {
   // -- streaming deposits (stage-pipelined submission) -------------------
 
   /// Streaming submission of one deposit batch through the bank's
-  /// server::StagedBatchPipeline. Verify and the serial-shard mutate run
+  /// server::StagedBatchPipeline (DepositBatch is the same path with the
+  /// window closed on one batch: it first commits every streamed batch
+  /// still in flight). Verify and the serial-shard mutate run
   /// inline (so cross-batch double-spend resolution stays submission-
   /// ordered); the account-credit commit is deferred until the in-flight
   /// window fills or FlushDeposits() runs, at which point \p on_done
   /// receives the index-aligned statuses. Deposits have no issue stage,
   /// so the win here is the deferred-commit window, not signer fan-out.
   /// Serial: for a fixed submission order the statuses and resulting
-  /// balances are identical to calling DepositBatch per batch.
+  /// balances are identical to calling DepositBatch per batch. An empty
+  /// batch never enters the pipeline: on_done({}) runs at once.
   void StreamDepositBatch(std::vector<DepositItem> items,
                           std::function<void(std::vector<Status>)> on_done,
                           bool shed_on_full = true);
@@ -174,12 +177,13 @@ class PaymentProvider {
   Status SpendSerial(const Coin& coin);
   static rel::LicenseId SerialKey(const Coin& coin);
 
-  /// Heap-boxed per-batch state so one plan builder serves both the
-  /// synchronous DepositBatch and the streaming path (where the batch
-  /// outlives the submitting call).
+  /// The one body behind DepositBatch and StreamDepositBatch: boxes the
+  /// batch (a streamed batch outlives the submitting call), builds its
+  /// plan and hands it to staged_ — SubmitSync when \p sync, Submit otherwise.
   struct DepositBatchState;
-  server::BatchPipeline::Plan BuildDepositPlan(
-      std::shared_ptr<DepositBatchState> st, bool shed_on_full);
+  void SubmitDeposit(std::vector<DepositItem> items,
+                     std::function<void(std::vector<Status>)> on_done,
+                     bool shed_on_full, bool sync);
 
   PaymentProviderConfig config_;
   bignum::RandomSource* rng_;
@@ -188,7 +192,9 @@ class PaymentProvider {
   std::map<std::string, std::uint64_t> accounts_;
   store::SpentSet spent_serials_;  ///< unsharded path; unused with runtime_
   std::unique_ptr<server::ServerRuntime> runtime_;  ///< sharded path
-  /// Streaming deposit window (no signer pool: deposits sign nothing).
+  /// Every deposit batch's orchestrator (no signer pool: deposits sign
+  /// nothing). Members declared after it die first, so the destructor
+  /// drains it explicitly.
   std::unique_ptr<server::StagedBatchPipeline> staged_;
   server::BatchVerifier verifier_;
   std::vector<DebitRecord> debit_log_;

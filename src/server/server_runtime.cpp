@@ -190,8 +190,7 @@ ServerRuntime::ImportStats ServerRuntime::ImportSpent(
     ImportStats* tally = &per_shard[s];
     Submit(
         s,
-        [this, &ids, &done, tally,
-         group = std::move(groups[s])](ShardContext& ctx) {
+        [this, &ids, tally, group = std::move(groups[s])](ShardContext& ctx) {
           const std::size_t n = group.size();
           std::vector<rel::LicenseId> local(n);
           for (std::size_t j = 0; j < n; ++j) local[j] = ids[group[j]];
@@ -208,9 +207,8 @@ ServerRuntime::ImportStats ServerRuntime::ImportSpent(
             }
           }
           UpdateSpentBytesGauge(ctx);
-          done.CountDown();
         },
-        weight);
+        weight, &done);
   }
   done.Wait();
   for (const ImportStats& t : per_shard) {
@@ -222,38 +220,39 @@ ServerRuntime::ImportStats ServerRuntime::ImportSpent(
 
 void ServerRuntime::WorkerLoop(Shard* shard) {
   for (;;) {
-    Task task;
-    std::size_t weight = 0;
+    Shard::Queued job;
     {
       std::unique_lock<std::mutex> lock(shard->m);
       shard->work_cv.wait(
           lock, [&] { return shard->stop || !shard->queue.empty(); });
       if (shard->queue.empty()) return;  // stopping with nothing left to do
-      task = std::move(shard->queue.front().first);
-      weight = shard->queue.front().second;
+      job = std::move(shard->queue.front());
       shard->queue.pop_front();
       shard->busy = true;
     }
-    // Decrement BEFORE running the task: completion latches count down
-    // inside the task body, so anything sequenced after task() races the
-    // blocked caller's wake-up. Decrementing here sequences the gauge
-    // update before the latch, which is what lets a quiesced runtime
-    // (every blocking Submit returned) read the gauge as exactly the
-    // queued-not-yet-started items — deterministically zero — in the
-    // scenario determinism check. The gauge therefore counts queue
-    // depth, not queue + in-flight.
+    // Decrement BEFORE running the task: that sequences the gauge update
+    // before whatever completion signal the blocked caller waits on (a
+    // latch counted down in the task body, or `done` below), which is
+    // what lets a quiesced runtime (every blocking Submit returned) read
+    // the gauge as exactly the queued-not-yet-started items —
+    // deterministically zero — in the scenario determinism check. The
+    // gauge therefore counts queue depth, not queue + in-flight.
     if (obs_registry_ != nullptr) {
       obs_registry_->GaugeAdd(obs_queue_depth_,
-                              -static_cast<std::int64_t>(weight));
+                              -static_cast<std::int64_t>(job.weight));
     }
-    task(shard->ctx);
+    job.task(shard->ctx);
     {
       std::lock_guard<std::mutex> lock(shard->m);
       shard->busy = false;
-      shard->pending_items -= weight;
+      shard->pending_items -= job.weight;
       shard->space_cv.notify_all();
       if (shard->queue.empty()) shard->idle_cv.notify_all();
     }
+    // Only now may a blocked caller resume: had the task counted down
+    // itself, the caller's next shedding submit could still see this
+    // task's weight and shed against its own finished work.
+    if (job.done != nullptr) job.done->CountDown();
   }
 }
 
@@ -275,7 +274,7 @@ void ServerRuntime::set_observability(obs::Registry* registry,
 }
 
 bool ServerRuntime::TrySubmit(std::size_t shard_index, Task task,
-                              std::size_t weight) {
+                              std::size_t weight, Latch* done) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.m);
   // Shed when the queue already holds work and this submission would
@@ -289,7 +288,7 @@ bool ServerRuntime::TrySubmit(std::size_t shard_index, Task task,
   }
   shard.pending_items += weight;
   shard.high_water = std::max(shard.high_water, shard.pending_items);
-  shard.queue.emplace_back(std::move(task), weight);
+  shard.queue.push_back({std::move(task), weight, done});
   shard.work_cv.notify_one();
   if (obs_registry_ != nullptr) {
     obs_registry_->GaugeAdd(obs_queue_depth_,
@@ -299,7 +298,7 @@ bool ServerRuntime::TrySubmit(std::size_t shard_index, Task task,
 }
 
 void ServerRuntime::Submit(std::size_t shard_index, Task task,
-                           std::size_t weight) {
+                           std::size_t weight, Latch* done) {
   Shard& shard = *shards_[shard_index];
   std::unique_lock<std::mutex> lock(shard.m);
   shard.space_cv.wait(lock, [&] {
@@ -308,58 +307,12 @@ void ServerRuntime::Submit(std::size_t shard_index, Task task,
   });
   shard.pending_items += weight;
   shard.high_water = std::max(shard.high_water, shard.pending_items);
-  shard.queue.emplace_back(std::move(task), weight);
+  shard.queue.push_back({std::move(task), weight, done});
   shard.work_cv.notify_one();
   if (obs_registry_ != nullptr) {
     obs_registry_->GaugeAdd(obs_queue_depth_,
                             static_cast<std::int64_t>(weight));
   }
-}
-
-void ServerRuntime::SubmitAll(
-    std::size_t shard_index, std::vector<std::pair<Task, std::size_t>> tasks) {
-  if (tasks.empty()) return;
-  std::size_t total = 0;
-  for (const auto& t : tasks) total += t.second;
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock<std::mutex> lock(shard.m);
-  shard.space_cv.wait(lock, [&] {
-    return shard.pending_items == 0 ||
-           shard.pending_items + total <= config_.queue_capacity;
-  });
-  shard.pending_items += total;
-  shard.high_water = std::max(shard.high_water, shard.pending_items);
-  for (auto& t : tasks) {
-    shard.queue.emplace_back(std::move(t.first), t.second);
-  }
-  // One worker per shard: a single wake drains the whole group.
-  shard.work_cv.notify_one();
-  if (obs_registry_ != nullptr) {
-    obs_registry_->GaugeAdd(obs_queue_depth_, static_cast<std::int64_t>(total));
-  }
-}
-
-void ServerRuntime::RunAll(std::vector<Task> tasks) {
-  if (tasks.empty()) return;
-  Latch done(tasks.size());
-  const std::size_t n = shards_.size();
-  // Round-robin placement: issuance work has no shard affinity (it
-  // touches no shard-owned state), so spreading by index keeps every
-  // worker busy even when the batch's ids all hash to one shard. Each
-  // shard's whole slice then enqueues through one SubmitAll — one lock
-  // acquisition and one notify per shard instead of one per task.
-  std::vector<std::vector<std::pair<Task, std::size_t>>> groups(n);
-  for (auto& g : groups) g.reserve(tasks.size() / n + 1);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    groups[i % n].emplace_back(
-        [task = std::move(tasks[i]), &done](ShardContext& ctx) {
-          task(ctx);
-          done.CountDown();
-        },
-        1);
-  }
-  for (std::size_t s = 0; s < n; ++s) SubmitAll(s, std::move(groups[s]));
-  done.Wait();
 }
 
 std::unique_lock<std::mutex> ServerRuntime::QuiesceShard(
@@ -401,7 +354,7 @@ void ServerRuntime::SpendBatch(const std::vector<rel::LicenseId>& ids,
     // group goes through one InsertBatch probe pass (applied in index
     // order, so duplicate ids keep first-wins semantics) and one
     // group-committed journal block.
-    Task task = [this, &ids, out, &done, group = std::move(groups[s])](
+    Task task = [this, &ids, out, group = std::move(groups[s])](
                     ShardContext& ctx) {
       const std::size_t n = group.size();
       std::vector<rel::LicenseId> local(n);
@@ -415,17 +368,13 @@ void ServerRuntime::SpendBatch(const std::vector<rel::LicenseId>& ids,
       }
       ctx.processed += n;
       UpdateSpentBytesGauge(ctx);
-      done.CountDown();
     };
     if (shed_on_full) {
-      if (!TrySubmit(s, std::move(task), weight)) {
+      if (!TrySubmit(s, std::move(task), weight, &done)) {
         done.CountDown();  // shard shed: statuses stay kOverloaded
       }
     } else {
-      // Blocking spends ride the same grouped-submit path as RunAll.
-      std::vector<std::pair<Task, std::size_t>> group1;
-      group1.emplace_back(std::move(task), weight);
-      SubmitAll(s, std::move(group1));
+      Submit(s, std::move(task), weight, &done);
     }
   }
   done.Wait();

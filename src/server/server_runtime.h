@@ -139,29 +139,16 @@ class ServerRuntime {
 
   /// Enqueues \p task on \p shard; \p weight is the item count it
   /// represents (for queue accounting). Returns false — shedding the
-  /// task — when the queue is over capacity.
-  bool TrySubmit(std::size_t shard, Task task, std::size_t weight = 1);
+  /// task — when the queue is over capacity. \p done, when set, is
+  /// counted down after the task has run AND the shard has released its
+  /// weight: a caller that waits on it and then submits again never
+  /// meets its own finished task in the queue bound.
+  bool TrySubmit(std::size_t shard, Task task, std::size_t weight = 1,
+                 Latch* done = nullptr);
 
   /// Blocking submit: waits for queue room instead of shedding.
-  void Submit(std::size_t shard, Task task, std::size_t weight = 1);
-
-  /// Grouped blocking submit: enqueues every (task, weight) pair on
-  /// \p shard under ONE lock acquisition and ONE worker wake (each shard
-  /// has exactly one worker, so a single notify drains the whole group).
-  /// Waits for room for the group's total weight with the same
-  /// oversize-meets-empty-queue acceptance rule as Submit. RunAll and
-  /// SpendBatch both feed shards through here.
-  void SubmitAll(std::size_t shard,
-                 std::vector<std::pair<Task, std::size_t>> tasks);
-
-  /// Submit-and-join work queue for the issuance stage: fans \p tasks
-  /// out across the shard workers (task i runs on shard i mod N) and
-  /// blocks until every one has completed. Submission is blocking, never
-  /// shedding — backpressure (kOverloaded) is applied at the spend
-  /// stage, before any state changes; work that reaches the issue stage
-  /// is already committed and must not be dropped. Tasks must not call
-  /// back into the runtime.
-  void RunAll(std::vector<Task> tasks);
+  void Submit(std::size_t shard, Task task, std::size_t weight = 1,
+              Latch* done = nullptr);
 
   /// Waits until every shard queue is empty and every worker is idle.
   void Drain() const;
@@ -245,7 +232,12 @@ class ServerRuntime {
     std::condition_variable work_cv;        // queue became non-empty / stop
     std::condition_variable space_cv;       // queue has room again
     mutable std::condition_variable idle_cv;  // queue empty and worker idle
-    std::deque<std::pair<Task, std::size_t>> queue;
+    struct Queued {
+      Task task;
+      std::size_t weight = 0;
+      Latch* done = nullptr;  // counted down after the weight is released
+    };
+    std::deque<Queued> queue;
     std::size_t pending_items = 0;  // queued + in-flight weight
     bool busy = false;
     std::size_t high_water = 0;

@@ -73,10 +73,6 @@ SignerPool::Ticket SignerPool::SubmitBatch(std::size_t count, Job work) {
   return ticket;
 }
 
-void SignerPool::RunAll(std::size_t count, Job work) {
-  SubmitBatch(count, std::move(work)).Wait();
-}
-
 std::uint64_t SignerPool::Steals() const {
   std::uint64_t total = 0;
   for (const auto& w : workers_) {

@@ -5,13 +5,14 @@
 /// \brief Dedicated work-stealing thread pool for the issue stage.
 ///
 /// Issuance is per-item RSA private-key work with no shard affinity: it
-/// touches no shard-owned state, so routing it through the spend shards
-/// (ServerRuntime::RunAll) couples signing latency to spend-queue depth
-/// and sizes the signing capacity to the shard count. SignerPool
-/// decouples both: a small pool sized independently of the shards, one
+/// touches no shard-owned state, so it does not run on the spend shards
+/// (that would couple signing latency to spend-queue depth and size the
+/// signing capacity to the shard count). SignerPool is the one issue
+/// executor: a small pool sized independently of the shards, one
 /// bounded-latency deque per worker, and steal-from-back balancing so a
 /// worker that drains its own slice finishes someone else's instead of
-/// idling.
+/// idling. A provider without a pool signs inline on its dispatch
+/// thread.
 ///
 /// Scheduling contract:
 ///  * `SubmitBatch(count, work)` deals item k to deque k mod W and
@@ -24,7 +25,7 @@
 ///    its right-hand neighbour. Back-stealing takes the work the owner
 ///    would reach last, which minimizes owner/thief contention.
 ///  * Work items must be thread-safe and write only disjoint per-k
-///    state — the same contract as BatchPipeline::Plan::issue. The pool
+///    state — the same contract as BatchPlan::issue. The pool
 ///    guarantees nothing about WHICH worker runs an item, so issuance
 ///    determinism must come from dispatch-side DRBG forks, never from
 ///    worker identity.
@@ -59,9 +60,8 @@ namespace server {
 struct SignerContext {
   std::size_t index = 0;  ///< worker index in [0, worker_count)
 
-  /// Accrues measured signing time onto this worker's simulated clock —
-  /// the same methodology as ServerRuntime's per-shard sim clocks, so
-  /// benches can report a hardware-independent issue makespan.
+  /// Accrues measured signing time onto this worker's simulated clock,
+  /// so benches can report a hardware-independent issue makespan.
   void AccrueSimClockUs(std::uint64_t us) {
     sim_clock_us.fetch_add(us, std::memory_order_relaxed);
   }
@@ -87,7 +87,8 @@ class SignerPool {
   class Ticket {
    public:
     Ticket() = default;
-    /// Blocks until every item of the batch has executed. Establishes
+    /// Blocks until every item of the batch has executed (returns at
+    /// once for an empty ticket). Establishes
     /// happens-before with each item's effects, so per-k results are
     /// safe to read afterwards without further synchronization.
     void Wait();
@@ -111,10 +112,6 @@ class SignerPool {
   /// the pool. Returns immediately; the work runs concurrently with the
   /// caller. The batch's Job is shared by all its items.
   Ticket SubmitBatch(std::size_t count, Job work);
-
-  /// SubmitBatch + Wait: the synchronous executor shape, drop-in where
-  /// ServerRuntime::RunAll used to carry issue work.
-  void RunAll(std::size_t count, Job work);
 
   /// Total successful steals across all workers (relaxed; exact at
   /// quiesce).

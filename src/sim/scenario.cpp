@@ -272,9 +272,9 @@ class Engine : public EngineBase {
 
   /// The provider model: serialized amortized verify on the dispatcher,
   /// then per-item mutate+issue on each key's home shard behind the
-  /// bounded backlog. Mirrors server::BatchPipeline's stage contract —
-  /// kOverloaded originates at the shard admission point only, before
-  /// any modeled state change.
+  /// bounded backlog. Mirrors server::StagedBatchPipeline's stage
+  /// contract — kOverloaded originates at the shard admission point
+  /// only, before any modeled state change.
   void Serve(const std::shared_ptr<Batch>& batch) {
     const FlowCost& cost = CostFor(batch->flow);
     const std::uint64_t arrival = clock_.NowUs();

@@ -1,13 +1,14 @@
-// Generic batch pipeline (ISSUE 4): the shared server::BatchPipeline
-// stage machinery, the exchange and deposit batch flows built on it, and
-// the client-side overload retry loop.
+// Batch pipeline: the server::StagedBatchPipeline stage machinery every
+// batch call runs on, the exchange and deposit batch flows built on it,
+// and the client-side overload retry loop.
 //
 // Pinned properties:
 //  * stage contract — verify -> mutate -> issue -> commit, kOverloaded
 //    shed possible at the mutate stage ONLY, shed items skip issue and
 //    commit entirely;
-//  * determinism — parallel ExchangeBatch is bit-identical to serial
-//    under a fixed DRBG seed (fork-drawing rule);
+//  * determinism — ExchangeBatch signed on a signer pool is
+//    bit-identical to inline signing under a fixed DRBG seed
+//    (fork-drawing rule);
 //  * deposit idempotency — one credit per coin serial, within a batch,
 //    across batches, and across the single/batched paths;
 //  * client retry — UserAgent re-batches only the shed indices, honors
@@ -27,7 +28,7 @@
 #include "crypto/blind_rsa.h"
 #include "crypto/drbg.h"
 #include "net/rpc.h"
-#include "server/batch_pipeline.h"
+#include "server/stage_executor.h"
 #include "sim/provider_stack.h"
 
 namespace p2drm {
@@ -39,7 +40,7 @@ using Stack = sim::ProviderStack;
 // -- pipeline stage contract -------------------------------------------------
 
 TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
-  server::BatchPipeline::Plan plan;
+  server::BatchPlan plan;
   plan.item_count = 5;
   std::vector<Status> final_status(5, Status::kOk);
   std::vector<std::size_t> forked, issued, committed, rejected;
@@ -75,9 +76,10 @@ TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
     final_status[i] = s;
   };
 
-  auto t = server::BatchPipeline::Run(plan, nullptr);
+  server::StagedBatchPipeline pipeline(server::StagedBatchPipeline::Config{});
+  auto t = pipeline.SubmitSync(std::move(plan));
 
-  // Fork draw, issue (serial executor) and commit all saw exactly the
+  // Fork draw, issue (inline, no pool) and commit all saw exactly the
   // live items, in index order; the shed item touched none of them.
   std::vector<std::size_t> live{0, 2, 3};
   EXPECT_EQ(forked, live);
@@ -91,7 +93,7 @@ TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
 }
 
 TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
-  server::BatchPipeline::Plan plan;
+  server::BatchPlan plan;
   plan.item_count = 1;
   bool issued = false, rejected = false;
   plan.mutate = [&](const std::vector<std::size_t>&) {
@@ -103,7 +105,8 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
     rejected = true;
     EXPECT_EQ(s, Status::kOverloaded);
   };
-  auto t = server::BatchPipeline::Run(plan, nullptr);
+  server::StagedBatchPipeline pipeline(server::StagedBatchPipeline::Config{});
+  auto t = pipeline.SubmitSync(std::move(plan));
   EXPECT_FALSE(issued);
   EXPECT_TRUE(rejected);
   EXPECT_EQ(t.shed, 1u);
@@ -112,10 +115,11 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
 // -- exchange batch ----------------------------------------------------------
 
 TEST(ExchangePipeline, ParallelExchangeBitIdenticalToSerial) {
-  // Same seed, same call sequence; only redeem_shards differs. The batch
-  // includes a duplicate so the kAlreadySpent leg is covered.
+  // Same seed, same call sequence; only the server layout differs: the
+  // parallel stack spends on 4 shards and signs on a 4-worker pool. The
+  // batch includes a duplicate so the kAlreadySpent leg is covered.
   Stack serial("exchange-identical", 0);
-  Stack sharded("exchange-identical", 4);
+  Stack sharded("exchange-identical", 4, 512, 4096, /*signer_pool_size=*/4);
 
   constexpr int kLicenses = 6;
   Pseudonym* owner_serial = serial.NewPseudonym();
@@ -534,7 +538,8 @@ TEST(ExchangeClientBatch, GiveAndReceiveBatchRoundTrip) {
   cfg.ttp_key_bits = 512;
   cfg.bank_key_bits = 512;
   cfg.cp.signing_key_bits = 512;
-  cfg.cp.redeem_shards = 2;   // exchange/redeem issue on shard workers
+  cfg.cp.redeem_shards = 2;     // exchange/redeem spends shard
+  cfg.cp.signer_pool_size = 2;  // and their issue runs on pool workers
   cfg.bank.deposit_shards = 2;  // coin checks shard at the bank
   P2drmSystem system(cfg, &rng);
   std::vector<rel::ContentId> contents;

@@ -1,6 +1,5 @@
-// Three-stage issuance pipeline (ISSUE 3): parallel issuance on the
-// shard workers must be bit-identical to serial issuance under a fixed
-// DRBG seed; PurchaseBatch must match Purchase() item for item with
+// Three-stage issuance pipeline: parallel issuance on the signer pool
+// must be bit-identical to inline issuance under a fixed DRBG seed; PurchaseBatch must match Purchase() item for item with
 // amortized verification; the per-thread metrics shards must aggregate
 // exactly.
 
@@ -22,17 +21,18 @@ namespace {
 // One full deterministic provider stack per test; two stacks built from
 // the same seed and driven through the same call sequence hold
 // bit-identical keys and licenses, which is what lets the tests compare
-// serial (redeem_shards = 0) against parallel issuance.
+// serial (no shards, no pool) against parallel issuance.
 using Stack = sim::ProviderStack;
 
 // -- parallel vs serial issuance ---------------------------------------------
 
 TEST(IssuancePipeline, ParallelIssuanceBitIdenticalToSerial) {
-  // Same seed, same call sequence; only redeem_shards differs. The batch
-  // includes an in-batch duplicate so the double-redemption (transcript
-  // signing without issuance) leg is covered too.
+  // Same seed, same call sequence; only the server layout differs: the
+  // parallel stack spends on 4 shards and signs on a 4-worker pool. The
+  // batch includes an in-batch duplicate so the double-redemption
+  // (transcript signing without issuance) leg is covered too.
   Stack serial("pipeline-identical", 0);
-  Stack sharded("pipeline-identical", 4);
+  Stack sharded("pipeline-identical", 4, 512, 4096, /*signer_pool_size=*/4);
 
   constexpr int kBearers = 6;
   std::vector<rel::License> bearers_serial, bearers_sharded;
@@ -94,8 +94,8 @@ TEST(IssuancePipeline, ParallelIssuanceBitIdenticalToSerial) {
   EXPECT_EQ(r_serial.license.Serialize(), r_sharded.license.Serialize());
 }
 
-TEST(IssuancePipeline, IssueStageRunsOnShardWorkers) {
-  Stack stack("pipeline-workers", 3);
+TEST(IssuancePipeline, IssueStageRunsOnSignerPool) {
+  Stack stack("pipeline-workers", 3, 512, 4096, /*signer_pool_size=*/3);
   Pseudonym* giver = stack.NewPseudonym();
   Pseudonym* taker = stack.NewPseudonym();
   std::vector<ContentProvider::RedeemItem> items;
@@ -105,15 +105,21 @@ TEST(IssuancePipeline, IssueStageRunsOnShardWorkers) {
   auto out = stack.cp.RedeemAnonymousBatch(items);
   for (const auto& r : out) EXPECT_EQ(r.status, Status::kOk);
 
-  // The signing work accrued on the workers' sim clocks (measured wall
-  // time of SignRedemption), not just on the dispatch thread.
-  const server::ServerRuntime* rt = stack.cp.Runtime();
-  ASSERT_NE(rt, nullptr);
+  // The signing work accrued on the pool workers' sim clocks (measured
+  // wall time of SignRedemption), not just on the dispatch thread.
+  const server::SignerPool* pool = stack.cp.Pool();
+  ASSERT_NE(pool, nullptr);
   std::uint64_t issue_us_on_workers = 0;
-  for (std::size_t s = 0; s < rt->shard_count(); ++s) {
-    issue_us_on_workers += rt->ShardSimClockUs(s);
+  for (std::size_t w = 0; w < pool->worker_count(); ++w) {
+    issue_us_on_workers += pool->WorkerSimClockUs(w);
   }
   EXPECT_GT(issue_us_on_workers, 0u);
+  // Shards only spend: no signing time landed on them.
+  const server::ServerRuntime* rt = stack.cp.Runtime();
+  ASSERT_NE(rt, nullptr);
+  for (std::size_t s = 0; s < rt->shard_count(); ++s) {
+    EXPECT_EQ(rt->ShardSimClockUs(s), 0u) << "shard " << s;
+  }
 
   auto timings = stack.cp.LastBatchTimings();
   EXPECT_EQ(timings.items, items.size());

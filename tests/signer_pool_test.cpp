@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,17 +21,19 @@
 namespace p2drm {
 namespace {
 
-TEST(SignerPool, RunAllExecutesEveryItemAcrossPoolSizes) {
+TEST(SignerPool, SubmitBatchExecutesEveryItemAcrossPoolSizes) {
   for (std::size_t workers : {1u, 2u, 3u, 8u}) {
     server::SignerPool pool(workers);
     ASSERT_EQ(pool.worker_count(), workers);
     const std::size_t n = 101;  // not a multiple of any pool size above
-    // Disjoint per-k writes — the Plan::issue contract; RunAll's join
-    // establishes the happens-before the plain reads below rely on.
+    // Disjoint per-k writes — the BatchPlan::issue contract; the
+    // ticket's Wait establishes the happens-before the plain reads below
+    // rely on.
     std::vector<int> hits(n, 0);
-    pool.RunAll(n, [&hits](server::SignerContext&, std::size_t k) {
-      hits[k] += 1;
-    });
+    pool.SubmitBatch(n, [&hits](server::SignerContext&, std::size_t k) {
+          hits[k] += 1;
+        })
+        .Wait();
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_EQ(hits[k], 1) << "workers=" << workers << " k=" << k;
     }
@@ -66,6 +69,9 @@ TEST(SignerPool, BlockedOwnersWorkFinishesOnAThief) {
         parked.store(ctx.index);
         gate.wait();
       });
+  // Deal batch B only once A is parked; otherwise one worker can run all
+  // of B before picking A up, and "the other worker" is undefined.
+  while (parked.load() == 99) std::this_thread::yield();
 
   // Batch B: one item per worker deque. The parked worker's item can
   // only complete by a steal, so Wait() returning while the gate is
@@ -124,9 +130,10 @@ TEST(SignerPool, ShutdownRacesStealsCleanly) {
 
 TEST(SignerPool, SimClockAccruesPerWorker) {
   server::SignerPool pool(2);
-  pool.RunAll(10, [](server::SignerContext& ctx, std::size_t) {
-    ctx.AccrueSimClockUs(5);
-  });
+  pool.SubmitBatch(10, [](server::SignerContext& ctx, std::size_t) {
+        ctx.AccrueSimClockUs(5);
+      })
+      .Wait();
   std::uint64_t total = pool.WorkerSimClockUs(0) + pool.WorkerSimClockUs(1);
   EXPECT_EQ(total, 50u);
   EXPECT_GE(pool.MaxWorkerSimClockUs(), 25u);  // one worker did >= half

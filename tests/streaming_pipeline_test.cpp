@@ -1,15 +1,19 @@
-// Streaming batch pipeline (ISSUE 9): the Stream* entry points overlap
+// Streaming batch pipeline: the Stream* entry points overlap
 // batch B+1's verify with batch B's signing, yet must stay bit-identical
 // to the synchronous batch calls under a fixed seed — commits in submit
 // order, each commit tail in index order, DRBG forks drawn dispatch-side.
 // Also covered: a batch shed at the mutate stage leaves no trace even
 // while other streamed batches are in flight, the streamed deposit window
-// defers account credits without reordering double-spend resolution, and
-// the window makespan is exact under an injected tick source.
+// defers account credits without reordering double-spend resolution, the
+// window makespan is exact under an injected tick source, a synchronous
+// call commits the streamed batches ahead of it, an empty batch follows
+// one rule on every entry point, and destroying a provider with batches
+// in flight commits them exactly once.
 
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -273,6 +277,208 @@ TEST(StreamingPipeline, InjectedTickPinsStreamingMakespan) {
   EXPECT_EQ(timings.makespan_us, 42.0);
   // FlushStreaming also refreshes LastBatchTimings.
   EXPECT_EQ(stack.cp.LastBatchTimings().makespan_us, 42.0);
+}
+
+// -- a sync call closes the window on its own batch --------------------------
+
+TEST(StreamingPipeline, SyncCallCommitsInFlightBatchesFirst) {
+  // Same seed, same batches. The serial stack makes every call
+  // synchronously; the mixed stack streams the first two (pooled, window
+  // of 4, so neither commits on its own) and then makes a synchronous
+  // call, which must commit them first, in submit order.
+  Stack serial("streaming-sync-after-stream", 2);
+  Stack mixed("streaming-sync-after-stream", 2, 512, 4096,
+              /*signer_pool_size=*/2, /*max_batches_in_flight=*/4);
+
+  auto fixtures = [](Stack& s) {
+    struct F {
+      std::vector<ContentProvider::RedeemItem> redeem1, redeem2;
+      std::vector<ContentProvider::PurchaseItem> purchase;
+      std::vector<PaymentProvider::DepositItem> deposit1, deposit2;
+    } f;
+    Pseudonym* giver = s.NewPseudonym();
+    Pseudonym* taker = s.NewPseudonym();
+    for (int i = 0; i < 3; ++i) {
+      f.redeem1.push_back({s.NewBearer(giver), taker->cert});
+      f.redeem2.push_back({s.NewBearer(giver), taker->cert});
+    }
+    f.purchase.push_back({taker->cert, s.content, s.Pay(30)});
+    for (const Coin& c : s.Pay(30)) f.deposit1.push_back({c, Stack::kAccount});
+    for (const Coin& c : s.Pay(30)) f.deposit2.push_back({c, Stack::kAccount});
+    f.deposit2.push_back(f.deposit1[0]);  // cross-batch double spend
+    return f;
+  };
+  auto fs = fixtures(serial);
+  auto fm = fixtures(mixed);
+
+  auto out_r1 = serial.cp.RedeemAnonymousBatch(fs.redeem1);
+  auto out_p = serial.cp.PurchaseBatch(fs.purchase);
+  auto out_r2 = serial.cp.RedeemAnonymousBatch(fs.redeem2);
+  auto out_d1 = serial.bank.DepositBatch(fs.deposit1);
+  auto out_d2 = serial.bank.DepositBatch(fs.deposit2);
+
+  std::vector<std::string> order;
+  std::optional<std::vector<ContentProvider::PurchaseResult>> got_r1, got_p;
+  mixed.cp.StreamRedeemBatch(std::move(fm.redeem1), [&](auto out) {
+    order.push_back("r1");
+    got_r1 = std::move(out);
+  });
+  mixed.cp.StreamPurchaseBatch(std::move(fm.purchase), [&](auto out) {
+    order.push_back("p");
+    got_p = std::move(out);
+  });
+  EXPECT_EQ(mixed.cp.StreamingInFlight(), 2u);
+  auto got_r2 = mixed.cp.RedeemAnonymousBatch(fm.redeem2);
+  order.push_back("r2");
+  EXPECT_EQ(order, (std::vector<std::string>{"r1", "p", "r2"}));
+  EXPECT_EQ(mixed.cp.StreamingInFlight(), 0u);
+  // The sync call's timings are its own batch's.
+  EXPECT_EQ(mixed.cp.LastBatchTimings().items, fm.redeem2.size());
+
+  auto same = [](const std::vector<ContentProvider::PurchaseResult>& a,
+                 const std::vector<ContentProvider::PurchaseResult>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].status, b[i].status) << "item " << i;
+      EXPECT_EQ(a[i].status, Status::kOk) << "item " << i;
+      EXPECT_EQ(a[i].license.Serialize(), b[i].license.Serialize())
+          << "item " << i;
+    }
+  };
+  ASSERT_TRUE(got_r1.has_value());
+  ASSERT_TRUE(got_p.has_value());
+  same(*got_r1, out_r1);
+  same(*got_p, out_p);
+  same(got_r2, out_r2);
+  EXPECT_EQ(serial.cp.LicensesIssued(), mixed.cp.LicensesIssued());
+
+  // Same rule at the bank: the sync deposit commits the streamed one
+  // first, so its credit lands and the double spend resolves in order.
+  std::optional<std::vector<Status>> got_d1;
+  mixed.bank.StreamDepositBatch(fm.deposit1,
+                                [&](auto out) { got_d1 = std::move(out); });
+  auto got_d2 = mixed.bank.DepositBatch(fm.deposit2);
+  ASSERT_TRUE(got_d1.has_value());
+  EXPECT_EQ(mixed.bank.StreamingDepositsInFlight(), 0u);
+  EXPECT_EQ(*got_d1, out_d1);
+  EXPECT_EQ(got_d2, out_d2);
+  EXPECT_EQ(got_d2.back(), Status::kDoubleSpend);
+  EXPECT_EQ(mixed.bank.Balance(Stack::kAccount),
+            serial.bank.Balance(Stack::kAccount));
+}
+
+TEST(StreamingPipeline, ResultsCallbackMayMakeASyncCall) {
+  // A sync call commits whatever is in flight; made from inside a
+  // streamed batch's on_done it must not commit that batch again.
+  Stack stack("streaming-reentrant", 1, 512, 4096, /*signer_pool_size=*/2);
+  Pseudonym* giver = stack.NewPseudonym();
+  Pseudonym* taker = stack.NewPseudonym();
+  std::vector<ContentProvider::RedeemItem> first, second;
+  first.push_back({stack.NewBearer(giver), taker->cert});
+  second.push_back({stack.NewBearer(giver), taker->cert});
+
+  const std::uint64_t issued_before = stack.cp.LicensesIssued();
+  int first_done = 0;
+  std::vector<ContentProvider::PurchaseResult> nested;
+  stack.cp.StreamRedeemBatch(first, [&](auto out) {
+    ++first_done;
+    EXPECT_EQ(out[0].status, Status::kOk);
+    nested = stack.cp.RedeemAnonymousBatch(second);
+  });
+  stack.cp.FlushStreaming();
+  EXPECT_EQ(first_done, 1);
+  ASSERT_EQ(nested.size(), 1u);
+  EXPECT_EQ(nested[0].status, Status::kOk);
+  EXPECT_EQ(stack.cp.LicensesIssued(), issued_before + 2);
+  EXPECT_EQ(stack.cp.StreamingInFlight(), 0u);
+}
+
+// -- an empty batch never enters the pipeline --------------------------------
+
+TEST(StreamingPipeline, EmptyBatchIsTheSameNoOpOnEveryEntryPoint) {
+  // Window of one: an empty batch that took a slot would force the
+  // in-flight batch to commit.
+  Stack stack("streaming-empty", 1, 512, 4096, /*signer_pool_size=*/2,
+              /*max_batches_in_flight=*/1);
+  Pseudonym* giver = stack.NewPseudonym();
+  Pseudonym* taker = stack.NewPseudonym();
+  std::vector<ContentProvider::RedeemItem> items;
+  items.push_back({stack.NewBearer(giver), taker->cert});
+  std::vector<PaymentProvider::DepositItem> coins;
+  for (const Coin& c : stack.Pay(30)) coins.push_back({c, Stack::kAccount});
+
+  int redeem_done = 0, deposit_done = 0;
+  stack.cp.StreamRedeemBatch(items, [&](auto) { ++redeem_done; });
+  stack.bank.StreamDepositBatch(coins, [&](auto) { ++deposit_done; });
+  ASSERT_EQ(stack.cp.StreamingInFlight(), 1u);
+  ASSERT_EQ(stack.bank.StreamingDepositsInFlight(), 1u);
+
+  // Streamed: on_done({}) at once, no slot taken, nothing committed.
+  int empty_done = 0;
+  auto expect_empty = [&](const auto& out) {
+    EXPECT_TRUE(out.empty());
+    ++empty_done;
+  };
+  stack.cp.StreamRedeemBatch({}, expect_empty);
+  stack.cp.StreamPurchaseBatch({}, expect_empty);
+  stack.cp.StreamExchangeBatch({}, expect_empty);
+  stack.bank.StreamDepositBatch({}, expect_empty);
+  EXPECT_EQ(empty_done, 4);
+  // Synchronous: an empty result, and again nothing committed.
+  EXPECT_TRUE(stack.cp.RedeemAnonymousBatch({}).empty());
+  EXPECT_TRUE(stack.cp.PurchaseBatch({}).empty());
+  EXPECT_TRUE(stack.cp.ExchangeBatch({}).empty());
+  EXPECT_TRUE(stack.bank.DepositBatch({}).empty());
+  EXPECT_EQ(stack.cp.StreamingInFlight(), 1u);
+  EXPECT_EQ(stack.bank.StreamingDepositsInFlight(), 1u);
+  EXPECT_EQ(redeem_done, 0);
+  EXPECT_EQ(deposit_done, 0);
+
+  stack.cp.FlushStreaming();
+  stack.bank.FlushDeposits();
+  EXPECT_EQ(redeem_done, 1);
+  EXPECT_EQ(deposit_done, 1);
+}
+
+// -- destruction with batches in flight ---------------------------------------
+
+TEST(StreamingPipeline, DestroyingProvidersCommitsInFlightBatchesOnce) {
+  // Destroying a provider must drain its pipeline before the members
+  // the commit tails write (transcript map, counters, accounts) die.
+  // Under AddressSanitizer a late drain is a heap-use-after-free.
+  auto stack = std::make_unique<Stack>("streaming-destroy", 1, 512, 4096,
+                                       /*signer_pool_size=*/2);
+  Pseudonym* giver = stack->NewPseudonym();
+  Pseudonym* taker = stack->NewPseudonym();
+  std::vector<ContentProvider::RedeemItem> items;
+  for (int i = 0; i < 3; ++i) {
+    items.push_back({stack->NewBearer(giver), taker->cert});
+  }
+  std::vector<PaymentProvider::DepositItem> coins;
+  for (const Coin& c : stack->Pay(30)) coins.push_back({c, Stack::kAccount});
+
+  int redeem_calls = 0, deposit_calls = 0;
+  std::vector<ContentProvider::PurchaseResult> redeemed;
+  std::vector<Status> deposited;
+  stack->cp.StreamRedeemBatch(std::move(items), [&](auto out) {
+    ++redeem_calls;
+    redeemed = std::move(out);
+  });
+  stack->bank.StreamDepositBatch(std::move(coins), [&](auto out) {
+    ++deposit_calls;
+    deposited = std::move(out);
+  });
+  ASSERT_EQ(redeem_calls, 0);
+  ASSERT_EQ(deposit_calls, 0);
+
+  stack.reset();  // no FlushStreaming / FlushDeposits
+
+  EXPECT_EQ(redeem_calls, 1);
+  ASSERT_EQ(redeemed.size(), 3u);
+  for (const auto& r : redeemed) EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(deposit_calls, 1);
+  ASSERT_FALSE(deposited.empty());
+  for (Status s : deposited) EXPECT_EQ(s, Status::kOk);
 }
 
 }  // namespace
