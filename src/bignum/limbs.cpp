@@ -8,6 +8,7 @@ namespace bignum {
 
 namespace kernel_stats {
 std::atomic<std::uint64_t> scratch_heap_allocs{0};
+std::atomic<std::uint64_t> powmod_fixed_256{0};
 std::atomic<std::uint64_t> powmod_fixed_512{0};
 std::atomic<std::uint64_t> powmod_fixed_1024{0};
 std::atomic<std::uint64_t> powmod_fixed_2048{0};
@@ -243,6 +244,7 @@ KernelStatsSnapshot KernelStats() {
   namespace ks = kernel_stats;
   KernelStatsSnapshot s;
   s.scratch_heap_allocs = ks::scratch_heap_allocs.load(std::memory_order_relaxed);
+  s.powmod_fixed_256 = ks::powmod_fixed_256.load(std::memory_order_relaxed);
   s.powmod_fixed_512 = ks::powmod_fixed_512.load(std::memory_order_relaxed);
   s.powmod_fixed_1024 = ks::powmod_fixed_1024.load(std::memory_order_relaxed);
   s.powmod_fixed_2048 = ks::powmod_fixed_2048.load(std::memory_order_relaxed);
@@ -255,7 +257,8 @@ KernelStatsSnapshot KernelStats() {
 
 std::string DescribeKernelWidthsHit() {
   KernelStatsSnapshot s = KernelStats();
-  return "512:" + std::to_string(s.powmod_fixed_512) +
+  return "256:" + std::to_string(s.powmod_fixed_256) +
+         ",512:" + std::to_string(s.powmod_fixed_512) +
          ",1024:" + std::to_string(s.powmod_fixed_1024) +
          ",2048:" + std::to_string(s.powmod_fixed_2048) +
          ",generic:" + std::to_string(s.powmod_generic);

@@ -152,7 +152,8 @@ void Unpack64To32(std::uint32_t* out, std::size_t n32, const Limb* in,
 
 struct KernelStatsSnapshot {
   std::uint64_t scratch_heap_allocs = 0;  // all Scratch arenas, all threads
-  std::uint64_t powmod_fixed_512 = 0;     // exponentiations per width bucket
+  std::uint64_t powmod_fixed_256 = 0;     // exponentiations per width bucket
+  std::uint64_t powmod_fixed_512 = 0;
   std::uint64_t powmod_fixed_1024 = 0;
   std::uint64_t powmod_fixed_2048 = 0;
   std::uint64_t powmod_generic = 0;
@@ -164,13 +165,14 @@ struct KernelStatsSnapshot {
 /// Point-in-time snapshot of the global kernel counters.
 KernelStatsSnapshot KernelStats();
 
-/// "512:<n>,1024:<n>,2048:<n>,generic:<n>" — which fixed-width
+/// "256:<n>,512:<n>,1024:<n>,2048:<n>,generic:<n>" — which fixed-width
 /// Montgomery specializations actually ran; for bench config blocks.
 std::string DescribeKernelWidthsHit();
 
 namespace kernel_stats {
 // Internals shared with montgomery.cpp; relaxed increments only.
 extern std::atomic<std::uint64_t> scratch_heap_allocs;
+extern std::atomic<std::uint64_t> powmod_fixed_256;
 extern std::atomic<std::uint64_t> powmod_fixed_512;
 extern std::atomic<std::uint64_t> powmod_fixed_1024;
 extern std::atomic<std::uint64_t> powmod_fixed_2048;

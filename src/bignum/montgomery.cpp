@@ -100,6 +100,7 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
 
   // Fixed-width dispatch for the RSA modulus sizes (bits = 64 * n_).
   switch (n_) {
+    case 4:  mul_fn_ = &MontMulFixed<4>; break;    // 256-bit
     case 8:  mul_fn_ = &MontMulFixed<8>; break;    // 512-bit
     case 16: mul_fn_ = &MontMulFixed<16>; break;   // 1024-bit
     case 32: mul_fn_ = &MontMulFixed<32>; break;   // 2048-bit
@@ -173,6 +174,7 @@ void Montgomery::PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
                              Scratch* scratch) const {
   namespace ks = kernel_stats;
   switch (n_) {
+    case 4:  ks::powmod_fixed_256.fetch_add(1, std::memory_order_relaxed); break;
     case 8:  ks::powmod_fixed_512.fetch_add(1, std::memory_order_relaxed); break;
     case 16: ks::powmod_fixed_1024.fetch_add(1, std::memory_order_relaxed); break;
     case 32: ks::powmod_fixed_2048.fetch_add(1, std::memory_order_relaxed); break;

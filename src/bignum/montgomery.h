@@ -9,9 +9,9 @@
 /// on the server's per-item issue path, must not touch the heap either.
 /// The context precomputes R = 2^(64n) mod N and performs CIOS Montgomery
 /// multiplication over flat 64-bit limbs (limbs.h), with branch-free
-/// fixed-width kernels for the modulus sizes RSA actually uses (512/1024/
-/// 2048 bits — the CRT halves and full moduli of RsaPrivateKey /
-/// BatchVerifier). PowMod uses a windowed table (4- or 5-bit by exponent
+/// fixed-width kernels for the modulus sizes RSA actually uses (256/512/
+/// 1024/2048 bits — the CRT halves and full moduli of RsaPrivateKey /
+/// BatchVerifier, and the Miller–Rabin candidates of key generation). PowMod uses a windowed table (4- or 5-bit by exponent
 /// size) living entirely in scratch; the span-level entry points are
 /// allocation-free once the caller's Scratch is warm. See docs/bignum.md.
 

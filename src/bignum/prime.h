@@ -22,12 +22,16 @@ bool IsProbablePrime(const BigInt& n, int rounds, RandomSource* rng);
 /// small factor is found; true means "no small factor" (not "prime").
 bool PassesTrialDivision(const BigInt& n);
 
-/// Generates a random prime with exactly \p bits bits (top bit set, odd).
-/// Uses trial division followed by Miller–Rabin with \p mr_rounds rounds.
+/// Generates a random odd prime with exactly \p bits bits (bits >= 2;
+/// throws std::domain_error below). Incremental sieved search from one
+/// random start; survivors of the small-prime sieve get Miller–Rabin with
+/// \p mr_rounds rounds (docs/bignum.md, "Prime generation").
 BigInt GeneratePrime(std::size_t bits, int mr_rounds, RandomSource* rng);
 
-/// Generates a prime p with exactly \p bits bits such that gcd(p-1, e) == 1.
-/// Used by RSA key generation so that e is invertible mod p-1.
+/// Generates a prime p with exactly \p bits bits, its top two bits set
+/// (p >= 1.5 * 2^(bits-1), so the product of two such primes has exactly
+/// 2*bits bits; FIPS 186-5 A.1.3), and gcd(p-1, e) == 1 so that e is
+/// invertible mod p-1. Used by RSA key generation.
 BigInt GenerateRsaPrime(std::size_t bits, const BigInt& e, int mr_rounds,
                         RandomSource* rng);
 

@@ -1,42 +1,68 @@
 #include "crypto/drbg.h"
 
+#include <algorithm>
+#include <cstring>
 #include <random>
 
 namespace p2drm {
 namespace crypto {
 
-HmacDrbg::HmacDrbg(const std::vector<std::uint8_t>& seed)
-    : key_(32, 0x00), v_(32, 0x01) {
-  UpdateState(seed);
+HmacDrbg::HmacDrbg(const std::vector<std::uint8_t>& seed) {
+  // Instantiate: K = 0x00..00, V = 0x01..01, then update with the seed.
+  Digest256 zero_key{};
+  SetKey(zero_key);
+  v_.fill(0x01);
+  UpdateState(seed.data(), seed.size());
 }
 
 HmacDrbg::HmacDrbg(const std::string& seed_label)
     : HmacDrbg(std::vector<std::uint8_t>(seed_label.begin(),
                                          seed_label.end())) {}
 
-void HmacDrbg::UpdateState(const std::vector<std::uint8_t>& provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  std::vector<std::uint8_t> input = v_;
-  input.push_back(0x00);
-  input.insert(input.end(), provided.begin(), provided.end());
-  Digest256 k1 = HmacSha256(key_, input);
-  key_.assign(k1.begin(), k1.end());
-  Digest256 v1 = HmacSha256(key_, v_);
-  v_.assign(v1.begin(), v1.end());
+void HmacDrbg::SetKey(const Digest256& key) {
+  constexpr std::size_t kBlock = 64;
+  std::array<std::uint8_t, kBlock> ipad, opad;
+  ipad.fill(0x36);
+  opad.fill(0x5c);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    ipad[i] ^= key[i];
+    opad[i] ^= key[i];
+  }
+  inner_.Reset();
+  inner_.Update(ipad.data(), ipad.size());
+  outer_.Reset();
+  outer_.Update(opad.data(), opad.size());
+}
 
-  if (provided.empty()) return;
-  // K = HMAC(K, V || 0x01 || provided); V = HMAC(K, V)
-  input = v_;
-  input.push_back(0x01);
-  input.insert(input.end(), provided.begin(), provided.end());
-  Digest256 k2 = HmacSha256(key_, input);
-  key_.assign(k2.begin(), k2.end());
-  Digest256 v2 = HmacSha256(key_, v_);
-  v_.assign(v2.begin(), v2.end());
+Digest256 HmacDrbg::FinishMac(Sha256 inner) const {
+  const Digest256 inner_digest = inner.Final();
+  Sha256 outer = outer_;
+  outer.Update(inner_digest.data(), inner_digest.size());
+  return outer.Final();
+}
+
+void HmacDrbg::NextV() {
+  Sha256 inner = inner_;
+  inner.Update(v_.data(), v_.size());
+  v_ = FinishMac(inner);
+}
+
+void HmacDrbg::UpdateState(const std::uint8_t* provided, std::size_t len) {
+  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V); then, only when
+  // provided is non-empty, the same again with separator 0x01.
+  const std::uint8_t rounds = len == 0 ? 1 : 2;
+  for (std::uint8_t separator = 0; separator < rounds; ++separator) {
+    Sha256 inner = inner_;
+    inner.Update(v_.data(), v_.size());
+    inner.Update(&separator, 1);
+    inner.Update(provided, len);
+    SetKey(FinishMac(inner));
+    NextV();
+  }
 }
 
 void HmacDrbg::Reseed(const std::vector<std::uint8_t>& material) {
-  UpdateState(material);
+  UpdateState(material.data(), material.size());
 }
 
 HmacDrbg HmacDrbg::Fork(const std::vector<std::uint8_t>& domain_tag) {
@@ -62,15 +88,14 @@ HmacDrbg ForkRandom(bignum::RandomSource* parent,
 }
 
 void HmacDrbg::Fill(std::uint8_t* out, std::size_t len) {
-  std::size_t produced = 0;
-  while (produced < len) {
-    Digest256 v = HmacSha256(key_, v_);
-    v_.assign(v.begin(), v.end());
-    std::size_t take = std::min<std::size_t>(32, len - produced);
-    std::copy(v_.begin(), v_.begin() + take, out + produced);
-    produced += take;
+  while (len > 0) {
+    NextV();
+    const std::size_t take = std::min<std::size_t>(v_.size(), len);
+    std::memcpy(out, v_.data(), take);
+    out += take;
+    len -= take;
   }
-  UpdateState({});
+  UpdateState(nullptr, 0);
 }
 
 void SystemRandom::Fill(std::uint8_t* out, std::size_t len) {

@@ -8,12 +8,13 @@
 /// counters enforced — this repo uses it for reproducible key generation
 /// in tests and benchmarks). SystemRandom wraps std::random_device.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bignum/random_source.h"
-#include "crypto/hmac.h"
+#include "crypto/sha256.h"
 
 namespace p2drm {
 namespace crypto {
@@ -40,13 +41,26 @@ class HmacDrbg : public bignum::RandomSource {
   HmacDrbg Fork(const std::vector<std::uint8_t>& domain_tag);
   HmacDrbg Fork(const std::string& domain_tag);
 
+  /// Generate. Makes no heap allocation.
   void Fill(std::uint8_t* out, std::size_t len) override;
 
  private:
-  void UpdateState(const std::vector<std::uint8_t>& provided);
+  // HMAC_DRBG_Update: K and V absorb \p provided (may be empty).
+  void UpdateState(const std::uint8_t* provided, std::size_t len);
+  // Replaces K, rebuilding the cached HMAC midstates from it.
+  void SetKey(const Digest256& key);
+  // HMAC(K, message) given a copy of inner_ that absorbed the message.
+  Digest256 FinishMac(Sha256 inner) const;
+  // V = HMAC(K, V).
+  void NextV();
 
-  std::vector<std::uint8_t> key_;  // K, 32 bytes
-  std::vector<std::uint8_t> v_;    // V, 32 bytes
+  // K is held only as its two HMAC midstates: SHA-256 after absorbing
+  // the 64-byte K ^ ipad and K ^ opad blocks. Every HMAC under K then
+  // starts from a copy, so it costs the message blocks plus one outer
+  // block instead of rehashing both pads.
+  Sha256 inner_;
+  Sha256 outer_;
+  Digest256 v_{};  // V
 };
 
 /// Forks any RandomSource: draws 32 bytes from \p parent and binds them

@@ -76,7 +76,9 @@ RsaPrivateKey GenerateRsaKey(std::size_t modulus_bits,
     BigInt q = bignum::GenerateRsaPrime(half, e, kMrRounds, rng);
     if (p == q) continue;
     BigInt n = p * q;
-    if (n.BitLength() != modulus_bits) continue;  // rare; retry
+    // Guard only: both primes have their top two bits set, so p*q has
+    // exactly modulus_bits bits.
+    if (n.BitLength() != modulus_bits) continue;
     BigInt p1 = p - BigInt(1);
     BigInt q1 = q - BigInt(1);
     BigInt phi = p1 * q1;

@@ -156,8 +156,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ModularLawsTest,
 // The CIOS Montgomery kernels (montgomery.cpp) and the arena Karatsuba
 // (limbs.cpp) are checked against arithmetic that shares none of their
 // code: schoolbook multiplication plus Knuth Algorithm D division. The
-// suite runs at the three widths with fixed-width kernels (512/1024/2048
-// bits) so every dispatch target gets exercised.
+// suite runs at the four widths with fixed-width kernels (256/512/1024/
+// 2048 bits) so every dispatch target gets exercised.
 
 class KernelDifferentialTest : public ::testing::TestWithParam<std::size_t> {
  protected:
@@ -295,7 +295,35 @@ TEST_P(KernelDifferentialTest, WarmPowModAllocatesNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, KernelDifferentialTest,
-                         ::testing::Values(512u, 1024u, 2048u));
+                         ::testing::Values(256u, 512u, 1024u, 2048u));
+
+TEST(KernelDispatchTest, EachFixedWidthCountsInItsOwnBucket) {
+  // The bench config blocks (DescribeKernelWidthsHit) report these
+  // buckets; a modulus that silently fell through to the generic loop
+  // would show up here first.
+  struct Case {
+    std::size_t bits;
+    std::uint64_t KernelStatsSnapshot::*bucket;
+  };
+  const Case cases[] = {
+      {256, &KernelStatsSnapshot::powmod_fixed_256},
+      {512, &KernelStatsSnapshot::powmod_fixed_512},
+      {1024, &KernelStatsSnapshot::powmod_fixed_1024},
+      {2048, &KernelStatsSnapshot::powmod_fixed_2048},
+      {320, &KernelStatsSnapshot::powmod_generic},
+  };
+  crypto::HmacDrbg rng("kernel-dispatch");
+  for (const Case& c : cases) {
+    BigInt m = rng.BitsExact(c.bits);
+    if (m.IsEven()) m = m + BigInt(1);
+    Montgomery mont(m);
+    const std::uint64_t before = KernelStats().*c.bucket;
+    mont.PowMod(rng.Below(m), BigInt(65537));
+    EXPECT_GT(KernelStats().*c.bucket, before) << c.bits << " bits";
+  }
+  EXPECT_EQ(DescribeKernelWidthsHit().rfind("256:", 0), 0u)
+      << DescribeKernelWidthsHit();
+}
 
 TEST(KaratsubaDifferentialTest, WideProductsSurviveDivisionRoundTrip) {
   // 2048-bit operands are 32 limbs — above the 20-limb Karatsuba

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "crypto/drbg.h"
 
 namespace p2drm {
@@ -12,6 +14,24 @@ namespace {
 
 crypto::HmacDrbg MakeRng(const std::string& label) {
   return crypto::HmacDrbg(label);
+}
+
+// Exhaustive trial division: shares no code with the sieve or the
+// small-prime table.
+bool IsPrimeExhaustive(std::uint64_t n) {
+  if (n < 2) return false;
+  for (std::uint64_t d = 2; d * d <= n; ++d) {
+    if (n % d == 0) return false;
+  }
+  return true;
+}
+
+// True when some integer in [2, 2048) divides n (n >= 2048).
+bool HasFactorBelow2048(const BigInt& n) {
+  for (std::int64_t d = 2; d < 2048; ++d) {
+    if (n.Mod(BigInt(d)).IsZero()) return true;
+  }
+  return false;
 }
 
 TEST(TrialDivision, SmallComposites) {
@@ -92,7 +112,62 @@ TEST_P(PrimeGenTest, GeneratedPrimeHasExactBitsAndIsPrime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, PrimeGenTest,
-                         ::testing::Values(64, 128, 192, 256, 384));
+                         ::testing::Values(64, 128, 192, 256, 384, 512));
+
+TEST(PrimeGen, SievedOutputsHaveNoSmallFactor) {
+  auto rng = MakeRng("sieve-small-factors");
+  for (std::size_t bits : {64u, 256u, 512u}) {
+    for (int i = 0; i < 4; ++i) {
+      BigInt p = GeneratePrime(bits, 24, &rng);
+      EXPECT_EQ(p.BitLength(), bits);
+      EXPECT_FALSE(HasFactorBelow2048(p)) << p.ToHex();
+      auto fresh = MakeRng("independent-check-" + p.ToHex());
+      EXPECT_TRUE(IsProbablePrime(p, 24, &fresh)) << p.ToHex();
+    }
+  }
+}
+
+TEST(PrimeGen, WindowNearTopOfRangeStaysInWidth) {
+  // At 17-24 bits a 4096-offset sieve window starting in the upper part
+  // of the range runs past 2^bits, so the search must clip it and redraw
+  // rather than return a wider number.
+  auto rng = MakeRng("sieve-clip");
+  for (std::size_t bits = 17; bits <= 24; ++bits) {
+    for (int i = 0; i < 150; ++i) {
+      for (bool rsa : {false, true}) {
+        BigInt p = rsa ? GenerateRsaPrime(bits, BigInt(65537), 24, &rng)
+                       : GeneratePrime(bits, 24, &rng);
+        ASSERT_EQ(p.BitLength(), bits) << p.ToDec();
+        EXPECT_TRUE(IsPrimeExhaustive(p.Low64())) << p.ToDec();
+      }
+    }
+  }
+}
+
+TEST(PrimeGen, TinyWidthsReachEveryPrime) {
+  // Below 2^11 a candidate may itself be one of the sieving primes; the
+  // sieve must strike its multiples but keep it. Over enough draws every
+  // odd prime of a tiny width shows up.
+  auto rng = MakeRng("sieve-tiny");
+  for (std::size_t bits = 2; bits <= 16; ++bits) {
+    std::set<std::uint64_t> seen;
+    for (int i = 0; i < 300; ++i) {
+      BigInt p = GeneratePrime(bits, 24, &rng);
+      ASSERT_EQ(p.BitLength(), bits) << p.ToDec();
+      ASSERT_TRUE(IsPrimeExhaustive(p.Low64())) << p.ToDec();
+      seen.insert(p.Low64());
+    }
+    if (bits <= 6) {
+      std::set<std::uint64_t> all;
+      for (std::uint64_t n = std::uint64_t{1} << (bits - 1);
+           n < (std::uint64_t{1} << bits); ++n) {
+        if (n % 2 == 1 && IsPrimeExhaustive(n)) all.insert(n);
+      }
+      EXPECT_EQ(seen, all) << bits << " bits";
+    }
+  }
+  EXPECT_THROW(GeneratePrime(1, 24, &rng), std::domain_error);
+}
 
 TEST(RsaPrimeGen, CoprimeToPublicExponent) {
   auto rng = MakeRng("rsa-prime");
@@ -102,11 +177,34 @@ TEST(RsaPrimeGen, CoprimeToPublicExponent) {
   EXPECT_EQ(p.BitLength(), 256u);
 }
 
+TEST(RsaPrimeGen, TopTwoBitsSetSoProductsKeepTheirWidth) {
+  // p >= 1.5 * 2^(k-1) > sqrt(2) * 2^(k-1) (FIPS 186-5 A.1.3), so the
+  // product of any two such k-bit primes has exactly 2k bits. The halves
+  // of 128- and 512-bit moduli, 200 primes each.
+  auto rng = MakeRng("rsa-prime-bound");
+  const BigInt e(65537);
+  const BigInt small_e(3);  // gcd(p-1, 3) = 1 rejects about half the primes
+  for (std::size_t bits : {64u, 256u}) {
+    const BigInt floor = BigInt(3) << (bits - 2);  // 1.5 * 2^(k-1)
+    for (int i = 0; i < 200; ++i) {
+      const BigInt& exponent = i % 2 == 0 ? e : small_e;
+      BigInt p = GenerateRsaPrime(bits, exponent, 24, &rng);
+      EXPECT_EQ(p.BitLength(), bits);
+      EXPECT_GE(p.Compare(floor), 0) << p.ToHex();
+      EXPECT_EQ(BigInt::Gcd(p - BigInt(1), exponent).ToDec(), "1");
+      BigInt q = GenerateRsaPrime(bits, exponent, 24, &rng);
+      EXPECT_EQ((p * q).BitLength(), 2 * bits);
+    }
+  }
+}
+
 TEST(PrimeGen, DeterministicForSeed) {
   auto rng1 = MakeRng("same-seed");
   auto rng2 = MakeRng("same-seed");
   EXPECT_EQ(GeneratePrime(128, 8, &rng1).ToHex(),
             GeneratePrime(128, 8, &rng2).ToHex());
+  EXPECT_EQ(GenerateRsaPrime(256, BigInt(65537), 24, &rng1).ToHex(),
+            GenerateRsaPrime(256, BigInt(65537), 24, &rng2).ToHex());
 }
 
 }  // namespace

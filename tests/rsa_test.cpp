@@ -54,8 +54,35 @@ TEST(RsaKeyGen, RejectsBadSizes) {
 
 TEST(RsaKeyGen, DeterministicForSeed) {
   HmacDrbg r1("det"), r2("det");
+  const RsaPrivateKey a = GenerateRsaKey(512, &r1);
+  const RsaPrivateKey b = GenerateRsaKey(512, &r2);
+  EXPECT_EQ(a.n.ToHex(), b.n.ToHex());
+  EXPECT_EQ(a.p.ToHex(), b.p.ToHex());
+  EXPECT_EQ(a.d.ToHex(), b.d.ToHex());
+  // The streams stay in step: the next key matches too.
   EXPECT_EQ(GenerateRsaKey(512, &r1).n.ToHex(),
             GenerateRsaKey(512, &r2).n.ToHex());
+}
+
+TEST(RsaKeyGen, PrimesMeetFipsLowerBoundAndModulusHasExactWidth) {
+  // Both primes of every key carry their top two bits, which puts them
+  // above sqrt(2) * 2^(k-1) (FIPS 186-5 A.1.3) and gives p*q exactly
+  // modulus_bits bits.
+  for (std::size_t bits : {128u, 512u}) {
+    HmacDrbg rng("rsa-fips-bound-" + std::to_string(bits));
+    const std::size_t half = bits / 2;
+    const BigInt floor = BigInt(3) << (half - 2);  // 1.5 * 2^(half-1)
+    for (int i = 0; i < 200; ++i) {
+      const RsaPrivateKey key = GenerateRsaKey(bits, &rng);
+      ASSERT_EQ(key.n.BitLength(), bits);
+      for (const BigInt* prime : {&key.p, &key.q}) {
+        EXPECT_EQ(prime->BitLength(), half);
+        EXPECT_GE(prime->Compare(floor), 0) << prime->ToHex();
+        EXPECT_EQ(BigInt::Gcd(*prime - BigInt(1), key.e).ToDec(), "1");
+      }
+      EXPECT_NE(key.p.ToHex(), key.q.ToHex());
+    }
+  }
 }
 
 TEST(RsaRawOps, PublicPrivateRoundTrip) {
